@@ -47,6 +47,7 @@ from .cohomology import (
     decompose_positive,
     find_potential,
     groupoid_cocycle_eval,
+    positive_on_cycles,
     solve_coboundary,
     transition_graph,
 )
@@ -80,6 +81,7 @@ from .suspension import (
     ClaimReport,
     FlowMapData,
     SuspensionPoint,
+    WeightProfile,
     bold_varphi,
     m_eval,
     psi_eval,

@@ -31,7 +31,7 @@ from .errors import (
 from .flow import TowerSpec, bowen_franks, build_tower, graph_move
 from .groupoid import compose, invert, make_element, unit
 from .orbit import coe_to_flow_pipeline, derive_cocycle_pair, verify_coe
-from .samples import random_bipoint, random_point
+from .samples import random_bipoints, random_point
 from .suspension import quarter_grid, verify_flow_claims
 
 OK, FALSIFIED, INPUT_ERROR, INCONCLUSIVE = 0, 1, 2, 3
@@ -186,8 +186,7 @@ def cmd_verify_coe(args):
 
 
 def _claim_sample(h, seed, count):
-    rng = random.Random(seed)
-    return [random_bipoint(rng, h.domain) for _ in range(count)]
+    return random_bipoints(random.Random(seed), h.domain, count)
 
 
 def cmd_pipeline(args):

@@ -159,6 +159,39 @@ def class_is_positive(P: Presentation, f: CylinderFunction):
     return PositivityCertificate(b, n)
 
 
+def positive_on_cycles(P: Presentation, f: CylinderFunction) -> bool:
+    """Whether every periodic orbit of f sums to at least 1.
+
+    Periodic orbits are the closed walks of the transition graph.  With a
+    potential, the reduced arc weights are >= 0 and keep every cycle sum,
+    so a cycle sums to 0 exactly when all its arcs have reduced weight 0:
+    f is positive on cycles when there is no negative cycle and the
+    zero-reduced-weight arcs form an acyclic subgraph.  For f >= 0 the
+    potential is 0 and these are the zero-weight arcs of f.
+    """
+    W = transition_graph(P, f)
+    res = find_potential(W)
+    if isinstance(res, NegativeCycleWitness):
+        return False
+    succ = {v: [] for v in W.nodes}
+    indeg = dict.fromkeys(W.nodes, 0)
+    for a in W.arcs:
+        if res.slack(a) == 0:
+            succ[a.source].append(a.target)
+            indeg[a.target] += 1
+    # Kahn's algorithm: every node is removed iff the subgraph is acyclic
+    ready = [v for v in W.nodes if indeg[v] == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for u in succ[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                ready.append(u)
+    return removed == len(W.nodes)
+
+
 def decompose_positive(P: Presentation, f: CylinderFunction, lower=0):
     """The certificate pair (n, b) with b lifted above a lower bound.
 

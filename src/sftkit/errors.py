@@ -105,6 +105,10 @@ class DepthExceeded(SftError):
     pass
 
 
+class VerificationFailed(SftError):
+    """A constructed object failed the exact check it must pass."""
+
+
 class LeastPeriodViolation(SftError):
     def __init__(self, witnesses):
         self.witnesses = witnesses

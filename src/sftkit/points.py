@@ -224,8 +224,20 @@ class BiPoint:
     # -- dynamics -------------------------------------------------------------
 
     def shift(self, j: int = 1) -> "BiPoint":
-        return BiPoint.make(self.presentation, self.left_cycle, self.middle,
-                            self.right_cycle, self.phase + j)
+        """sigma^j, built directly from this already-canonical point.
+
+        The result equals BiPoint.make(..., phase + j): a non-periodic
+        point keeps its words and moves its phase, a periodic one rotates
+        its cycle and keeps phase 0.  Admissibility was checked when this
+        point was made, so it is not checked again.
+        """
+        if not self.is_periodic():
+            return BiPoint(self.presentation, self.left_cycle, self.middle,
+                           self.right_cycle, self.phase + j)
+        c = self.right_cycle
+        r = j % len(c)
+        c = c[r:] + c[:r]
+        return BiPoint(self.presentation, c, (), c, 0)
 
     def is_periodic(self) -> bool:
         return not self.middle and self.left_cycle == self.right_cycle

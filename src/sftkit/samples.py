@@ -77,19 +77,53 @@ def _path_to(P, a, b, rng):
     raise ValueError(f"no path {a!r} -> {b!r}")
 
 
+def _reach(P, a):
+    """Vertices at the end of some walk of length >= 1 from `a`."""
+    seen = set()
+    stack = [a]
+    while stack:
+        for u in P.out_neighbors(stack.pop()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
 def random_bipoint(rng: random.Random, P: Presentation, max_cycle=4,
                    max_middle=3, periodic_bias=0.4) -> BiPoint:
+    """A random two-sided point lc^inf . mid . rc^inf (see random_bipoints)."""
+    return random_bipoints(rng, P, 1, max_cycle, max_middle,
+                           periodic_bias)[0]
+
+
+def random_bipoints(rng: random.Random, P: Presentation, count, max_cycle=4,
+                    max_middle=3, periodic_bias=0.4) -> list:
+    """`count` random two-sided points, drawn one after another exactly as
+    random_bipoint draws them; P's cycles are listed once for all of them.
+
+    The right cycle is drawn among the cycles reachable from the left one
+    and the detour only through vertices that reach back to it, so the draw
+    works on reducible presentations too; on irreducible ones every
+    candidate qualifies and the draws are the unfiltered ones.
+    """
     cycles = P.cycles(max_cycle)
-    lc = rng.choice(cycles)
-    if rng.random() < periodic_bias:
-        return BiPoint.periodic(P, lc, rng.randint(-2, 2))
-    rc = rng.choice(cycles)
-    # connect lc's end to rc's start, optionally detouring once
-    mid = _path_to(P, lc[-1], rc[0], rng)[:-1]
-    if rng.random() < 0.5 and max_middle:
-        ext = rng.choice(P.out_neighbors(mid[-1] if mid else lc[-1]))
-        mid = mid + (ext,) + _path_to(P, ext, rc[0], rng)[:-1]
-    return BiPoint.make(P, lc, mid, rc, rng.randint(-3, 3))
+    out = []
+    for _ in range(count):
+        lc = rng.choice(cycles)
+        if rng.random() < periodic_bias:
+            out.append(BiPoint.periodic(P, lc, rng.randint(-2, 2)))
+            continue
+        ahead = _reach(P, lc[-1])
+        rc = rng.choice([c for c in cycles if c[0] in ahead])
+        # connect lc's end to rc's start, optionally detouring once
+        mid = _path_to(P, lc[-1], rc[0], rng)[:-1]
+        if rng.random() < 0.5 and max_middle:
+            last = mid[-1] if mid else lc[-1]
+            ext = rng.choice([u for u in P.out_neighbors(last)
+                              if rc[0] in _reach(P, u)])
+            mid = mid + (ext,) + _path_to(P, ext, rc[0], rng)[:-1]
+        out.append(BiPoint.make(P, lc, mid, rc, rng.randint(-3, 3)))
+    return out
 
 
 def random_complete_prefix_code(rng: random.Random, P: Presentation,

@@ -15,13 +15,146 @@ sums for m, Fractions for times, canonical point forms for comparisons.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
+from .cohomology import positive_on_cycles
 from .cylinders import CylinderFunction, orbit_sum
-from .errors import DegenerateN
+from .errors import DegenerateN, InadmissibleWord, VerificationFailed
 from .points import BiPoint, EvPerPoint
 from .maps import PointMap
+
+
+class WeightProfile:
+    """The weight n read along one two-sided point, coordinate by coordinate.
+
+    It is built from the point's own symbols: the window values
+    value(i) = n(x_[i, i+w)) over one left period, the middle band and one
+    right period, and their prefix sums.  Below that range the values repeat
+    with the left period, above it with the right period, so m_x(j) has a
+    closed form for every j, and the weighted indices come from the stored
+    non-zero positions.  A window missing from n's table raises
+    InadmissibleWord.
+    """
+
+    def __init__(self, n: CylinderFunction, bx: BiPoint):
+        w = n.width()
+        self.p, self.q = len(bx.left_cycle), len(bx.right_cycle)
+        # coordinates below lo + p read the left cycle only, coordinates from
+        # right on read the right cycle only; [lo, end) is what is stored
+        self.lo = 1 - w - self.p - bx.phase
+        self.right = len(bx.middle) - bx.phase
+        self.end = self.right + self.q
+        syms = bx.word_range(self.lo, self.end + w - 1)
+        vals = []
+        for k in range(self.end - self.lo):
+            v = n.table.get(syms[k:k + w])
+            if v is None:
+                raise InadmissibleWord(
+                    f"{syms[k:k + w]!r} is not in the table of n")
+            vals.append(v)
+        self.vals = vals
+        self.pre = list(accumulate(vals, initial=0))
+        self.nonzero = [self.lo + k for k, v in enumerate(vals) if v]
+        r = self.right - self.lo
+        self.left_nonzero = [k for k in range(self.p) if vals[k]]
+        self.right_nonzero = [k for k in range(self.q) if vals[r + k]]
+        self.m0 = self._cumulative(0)
+
+    def value(self, i: int) -> int:
+        """n(x_[i, inf))."""
+        if i < self.lo:
+            return self.vals[(i - self.lo) % self.p]
+        if i >= self.end:
+            return self.vals[self.right - self.lo + (i - self.right) % self.q]
+        return self.vals[i - self.lo]
+
+    def _cumulative(self, i: int) -> int:
+        """The sum of value over [lo, i), negated for i < lo."""
+        if i < self.lo:
+            c, r = divmod(i - self.lo, self.p)
+            return c * self.pre[self.p] + self.pre[r]
+        if i > self.end:
+            c, r = divmod(i - self.right, self.q)
+            base = self.right - self.lo
+            period = self.pre[base + self.q] - self.pre[base]
+            return c * period + self.pre[base + r]
+        return self.pre[i - self.lo]
+
+    def m(self, j: int) -> int:
+        """m_x(j): the sum of value over [0, j), negated for j < 0."""
+        return self._cumulative(j) - self.m0
+
+    def i_index(self, t) -> int:
+        """max{i <= t : n(x_[i,inf)) != 0}."""
+        return self._last_nonzero(math.floor(Fraction(t)))
+
+    def j_index(self, t) -> int:
+        """min{j > t : n(x_[j,inf)) != 0}."""
+        return self._first_nonzero(math.floor(Fraction(t)) + 1)
+
+    def r(self, t) -> Fraction:
+        """r_x(t) = m_x(i) + (t - i) n(x_[i,inf)) / (j - i), one Fraction."""
+        t = Fraction(t)
+        a, d = t.numerator, t.denominator
+        i = self._last_nonzero(a // d)
+        j = self._first_nonzero(a // d + 1)
+        return Fraction(self.m(i) * d * (j - i) + (a - i * d) * self.value(i),
+                        d * (j - i))
+
+    def _last_nonzero(self, i: int) -> int:
+        """The largest k <= i with value(k) != 0."""
+        if i >= self.end:
+            if self.right_nonzero:
+                return _last_in_period(self.right_nonzero, self.right,
+                                       self.q, i)
+            i = self.end - 1
+        if i >= self.lo:
+            k = bisect_right(self.nonzero, i)
+            if k:
+                return self.nonzero[k - 1]
+            i = self.lo - 1
+        if not self.left_nonzero:
+            raise DegenerateN("no weighted index below t; "
+                              "n vanishes on a cycle")
+        return _last_in_period(self.left_nonzero, self.lo, self.p, i)
+
+    def _first_nonzero(self, j: int) -> int:
+        """The least k >= j with value(k) != 0."""
+        if j < self.lo:
+            if self.left_nonzero:
+                return _first_in_period(self.left_nonzero, self.lo,
+                                        self.p, j)
+            j = self.lo
+        if j < self.end:
+            k = bisect_left(self.nonzero, j)
+            if k < len(self.nonzero):
+                return self.nonzero[k]
+            j = self.end
+        if not self.right_nonzero:
+            raise DegenerateN("no weighted index above t; "
+                              "n vanishes on a cycle")
+        return _first_in_period(self.right_nonzero, self.right, self.q, j)
+
+
+def _last_in_period(offsets, start, period, i):
+    """The largest k <= i with (k - start) mod period in offsets."""
+    r = (i - start) % period
+    k = bisect_right(offsets, r)
+    if k:
+        return i - r + offsets[k - 1]
+    return i - r - period + offsets[-1]
+
+
+def _first_in_period(offsets, start, period, j):
+    """The least k >= j with (k - start) mod period in offsets."""
+    r = (j - start) % period
+    k = bisect_left(offsets, r)
+    if k < len(offsets):
+        return j - r + offsets[k]
+    return j - r + period + offsets[0]
 
 
 def m_eval(n: CylinderFunction, bx: BiPoint, j: int) -> int:
@@ -30,11 +163,7 @@ def m_eval(n: CylinderFunction, bx: BiPoint, j: int) -> int:
     Positive j sums n over the tails at 0..j-1, negative j over -1..j, and
     m_x(0) = 0; weak monotonicity is immediate from n >= 0.
     """
-    if j > 0:
-        return sum(n(bx.tail(i)) for i in range(j))
-    if j < 0:
-        return -sum(n(bx.tail(-i)) for i in range(1, -j + 1))
-    return 0
+    return WeightProfile(n, bx).m(j)
 
 
 class FlowMapData:
@@ -73,10 +202,8 @@ class FlowMapData:
             if (b_prime.min_value() < 0
                     or (b_prime - (l_prime - n_prime)).min_value() < 0):
                 raise ValueError("need b' >= 0 and b' >= l' - n' pointwise")
-        self.n_positive_on_cycles = all(
-            orbit_sum(n, c) >= 1 for c in X.simple_cycles())
-        self.n_prime_positive_on_cycles = all(
-            orbit_sum(n_prime, c) >= 1 for c in Y.simple_cycles())
+        self.n_positive_on_cycles = positive_on_cycles(X, n)
+        self.n_prime_positive_on_cycles = positive_on_cycles(Y, n_prime)
 
     @property
     def domain(self):
@@ -144,41 +271,26 @@ def bold_varphi(D: FlowMapData, bx: BiPoint) -> BiPoint:
     m_star = m_eval(n, bx, i_star)
     img = BiPoint.make(D.codomain, b_star, p_star.prefix, p_star.cycle,
                        -m_star)
-    assert img.tail(m_star) == p_star
+    if img.tail(m_star) != p_star:
+        raise VerificationFailed(
+            f"the two-sided image {img} does not continue "
+            f"phi(x_[{i_star}, inf)) = {p_star} at {m_star}")
     return img
-
-
-def _index_scan_bound(n: CylinderFunction, bx: BiPoint) -> int:
-    return (len(bx.middle) + len(bx.left_cycle) + len(bx.right_cycle)
-            + n.width() + 2) * 2 + 4
 
 
 def i_index(n: CylinderFunction, bx: BiPoint, t) -> int:
     """max{i <= t : n(x_[i,inf)) != 0}."""
-    i = math.floor(Fraction(t))
-    for _ in range(_index_scan_bound(n, bx)):
-        if n(bx.tail(i)) != 0:
-            return i
-        i -= 1
-    raise DegenerateN("no weighted index below t; n vanishes on a cycle")
+    return WeightProfile(n, bx).i_index(t)
 
 
 def j_index(n: CylinderFunction, bx: BiPoint, t) -> int:
     """min{j > t : n(x_[j,inf)) != 0}."""
-    j = math.floor(Fraction(t)) + 1
-    for _ in range(_index_scan_bound(n, bx)):
-        if n(bx.tail(j)) != 0:
-            return j
-        j += 1
-    raise DegenerateN("no weighted index above t; n vanishes on a cycle")
+    return WeightProfile(n, bx).j_index(t)
 
 
 def r_eval(n: CylinderFunction, bx: BiPoint, t) -> Fraction:
     """The piecewise-linear time change r_x(t), exact rational."""
-    t = Fraction(t)
-    i = i_index(n, bx, t)
-    j = j_index(n, bx, t)
-    return m_eval(n, bx, i) + Fraction(t - i, j - i) * n(bx.tail(i))
+    return WeightProfile(n, bx).r(t)
 
 
 def psi_eval(D: FlowMapData, s: SuspensionPoint) -> SuspensionPoint:
@@ -277,11 +389,19 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
     Dp = D.primed()
     results = []
     cache = {}
+    profiles = {}
 
     def phi2(bx):
         if bx not in cache:
             cache[bx] = bold_varphi(D, bx)
         return cache[bx]
+
+    def weights(bx):
+        # keyed by the whole point, phase included: the profile of a shifted
+        # point is read from its own symbols, never re-indexed from another
+        if bx not in profiles:
+            profiles[bx] = WeightProfile(n, bx)
+        return profiles[bx]
 
     def attempt(claim, point, params, thunk):
         try:
@@ -294,7 +414,7 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
     for bx in sample:
         for j in range(j_range[0], j_range[1] + 1):
             def equivariance(j=j, bx=bx):
-                lhs = phi2(bx).shift(m_eval(n, bx, j))
+                lhs = phi2(bx).shift(weights(bx).m(j))
                 rhs = phi2(bx.shift(j))
                 return lhs == rhs, lhs, rhs
             attempt("shift-equivariance", bx, {"j": j}, equivariance)
@@ -302,7 +422,7 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
             def scaling(bx=bx):
                 y = phi2(bx)
                 lp_img = y.least_period() if y.is_periodic() else None
-                expect = m_eval(n, bx, bx.least_period())
+                expect = weights(bx).m(bx.least_period())
                 return lp_img == expect, lp_img, expect
             attempt("period-scaling", bx, {"lp": bx.least_period()}, scaling)
         bound = d_bound if d_bound is not None else robert_bound(D, bx)
@@ -316,10 +436,10 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
         attempt("inverse-up-to-shift", bx, params, round_trip)
         for p in range(p_range[0], p_range[1] + 1):
             def time_change(p=p, bx=bx):
-                sx = bx.shift(p)
-                mp = m_eval(n, bx, p)
+                wx, ws = weights(bx), weights(bx.shift(p))
+                mp = wx.m(p)
                 for t in t_grid:
-                    lhs, rhs = r_eval(n, bx, t + p), r_eval(n, sx, t) + mp
+                    lhs, rhs = wx.r(t + p), ws.r(t) + mp
                     if lhs != rhs:
                         return False, f"r(t+p)={lhs} at t={t}", f"{rhs}"
                 return True, "r_x(t+p)", "r_{s^p x}(t) + m_x(p)"
@@ -327,10 +447,10 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
                     time_change)
 
         def representative(bx=bx):
+            sx = bx.shift(1)
             for t in t_grid:
-                a = SuspensionPoint.make(phi2(bx.shift(1)),
-                                         r_eval(n, bx.shift(1), t))
-                b = SuspensionPoint.make(phi2(bx), r_eval(n, bx, t + 1))
+                a = SuspensionPoint.make(phi2(sx), weights(sx).r(t))
+                b = SuspensionPoint.make(phi2(bx), weights(bx).r(t + 1))
                 if a != b:
                     return False, f"{a} at t={t}", f"{b}"
             return True, "psi(sx, t)", "psi(x, t+1)"

@@ -1,0 +1,28 @@
+import random
+
+from sftkit.presentation import Presentation, full_shift, golden_mean
+from sftkit.samples import random_bipoint, random_bipoints
+
+
+def test_random_bipoint_on_reducible_presentation():
+    # loops at 0 and 1 and the arc 0 -> 1: no walk leads from 1 back to 0
+    P = Presentation([0, 1], [(0, 0), (1, 1), (0, 1)])
+    rng = random.Random(0)
+    points = [random_bipoint(rng, P) for _ in range(200)]
+    assert all(not (bx.left_cycle == (1,) and bx.right_cycle == (0,))
+               for bx in points)
+    assert any(bx.middle or bx.left_cycle != bx.right_cycle
+               for bx in points)
+
+
+def test_random_bipoints_draws_as_repeated_random_bipoint(monkeypatch):
+    listed = []
+    cycles = Presentation.cycles
+    monkeypatch.setattr(Presentation, "cycles",
+                        lambda self, *a: listed.append(a) or cycles(self, *a))
+    for P in (full_shift(2), full_shift(3), golden_mean()):
+        one, many = random.Random(9), random.Random(9)
+        listed.clear()
+        assert random_bipoints(many, P, 40) == \
+            [random_bipoint(one, P) for _ in range(40)]
+        assert len(listed) == 1 + 40

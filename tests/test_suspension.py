@@ -13,12 +13,14 @@ from sftkit import (
     coe_to_flow_pipeline,
     identity_map,
     m_eval,
+    orbit_sum,
+    positive_on_cycles,
     psi_eval,
     quarter_grid,
     r_eval,
     verify_flow_claims,
 )
-from sftkit.errors import DegenerateN
+from sftkit.errors import DegenerateN, VerificationFailed
 from sftkit.samples import random_bipoint
 
 
@@ -214,3 +216,42 @@ def test_verify_flow_claims_detects_corrupted_n(full2, std_exchange):
         Dbad, [b for b in sample if str(b) == f.point],
         j_range=(-2, 2), t_grid=quarter_grid(-1, 1), p_range=(-1, 1))
     assert any(r.claim == f.claim and not r.passed for r in again.results)
+
+
+def test_n_positive_on_cycles_sees_block_cycles(full2):
+    """n of depth 3 with positive sums on every simple vertex cycle, yet the
+    orbit of 0011 sums to 0: the block graph has a zero cycle."""
+    zero = CylinderFunction.constant(full2, 0)
+    one = CylinderFunction.constant(full2, 1)
+    zeros = {(0, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 0)}
+    n = CylinderFunction(full2, 3, {w: 0 if w in zeros else 1
+                                    for w in full2.language(3)})
+    assert [orbit_sum(n, c) for c in full2.simple_cycles()] == [1, 2, 1]
+    assert orbit_sum(n, (0, 0, 1, 1)) == 0
+    D = FlowMapData(identity_map(full2), zero, one, zero, one,
+                    one, zero, n, one, validate=False)
+    assert not D.n_positive_on_cycles
+    assert D.n_prime_positive_on_cycles
+    with pytest.raises(DegenerateN):
+        bold_varphi(D, BiPoint.periodic(full2, (0, 0, 1, 1)))
+
+
+def test_positive_on_cycles_with_negative_values(full2):
+    b = CylinderFunction.from_values(full2, {"0": 3, "1": -2})
+    one = CylinderFunction.constant(full2, 1)
+    # every orbit of 1 + b - b o sigma sums to its period
+    assert positive_on_cycles(full2, one + b.coboundary())
+    # every orbit of b - b o sigma sums to 0
+    assert not positive_on_cycles(full2, b.coboundary())
+    # the fixed point 1 sums to -1
+    f = CylinderFunction.from_values(full2, {"0": 2, "1": -1})
+    assert not positive_on_cycles(full2, f)
+
+
+def test_bold_varphi_image_check_raises_typed_error(full2, monkeypatch):
+    D = identity_data(full2)
+    bx = BiPoint.periodic(full2, (0, 1))
+    tail = BiPoint.tail
+    monkeypatch.setattr(BiPoint, "tail", lambda self, i: tail(self, i + 1))
+    with pytest.raises(VerificationFailed):
+        bold_varphi(D, bx)
