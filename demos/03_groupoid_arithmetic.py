@@ -9,7 +9,6 @@ from sftkit import (
     CylinderBisection,
     CylinderFunction,
     EvPerPoint,
-    bisection_apply,
     compose,
     full_shift,
     groupoid_cocycle_eval,
@@ -47,5 +46,5 @@ print("additivity:",
 print()
 print("-- compact open bisections act by prefix replacement")
 A = CylinderBisection.make(P, word("10"), word("0"))
-img, degree = bisection_apply(A, x0)
+img, degree = A.apply(x0)
 print(f"alpha_(10~0) sends {x0} to {img} with degree {degree}")

@@ -9,10 +9,9 @@ against.
 from sftkit import (
     CylinderFunction,
     EvPerPoint,
+    Tower,
     TowerSpec,
     bowen_franks,
-    build_tower,
-    first_return,
     golden_mean,
     out_split,
     out_split_conjugacy,
@@ -22,7 +21,7 @@ from sftkit.groupoid import make_element, make_tower_element, tower_iso
 gm = golden_mean()
 print("-- golden mean with floors f(0)=1, f(1)=2")
 f = CylinderFunction.from_values(gm, {"0": 1, "1": 2})
-tower = build_tower(TowerSpec(gm, f))
+tower = Tower(TowerSpec(gm, f))
 print("tower vertices:", tower.presentation.labels)
 print("tower edges:", sorted(map(str, tower.presentation.edges)))
 print("invariants base :", bowen_franks(gm))
@@ -35,7 +34,7 @@ print("-- the cross section recovers the base dynamics")
 x = EvPerPoint.make(gm, (), (0, 1))
 p = tower.iota(x, 0)
 print("iota((01)^inf, 0) =", p)
-q, rt = first_return(tower, p)
+q, rt = tower.first_return(p)
 print(f"first return after {rt} steps lands on iota(sigma x, 0):",
       q == tower.iota(x.shift(1), 0))
 

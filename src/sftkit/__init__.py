@@ -13,26 +13,19 @@ from .presentation import (
     full_shift,
     golden_mean,
     higher_block,
-    language,
     word,
 )
 from .points import (
     BiPoint,
     EvPerPoint,
     is_isolated,
-    least_period,
-    normalize_point,
-    shift_point,
 )
 from .cylinders import (
     CylinderFunction,
-    eval_cylinder,
     orbit_sum,
-    pullback_and_coboundary,
 )
 from .maps import (
     PointMap,
-    apply_prefix_exchange,
     identity_map,
     prefix_exchange,
     relabel_map,
@@ -55,7 +48,6 @@ from .groupoid import (
     CylinderBisection,
     GroupoidElement,
     TowerGroupoidElement,
-    bisection_apply,
     compose,
     invert,
     make_element,
@@ -68,10 +60,7 @@ from .flow import (
     InvariantReport,
     Tower,
     TowerSpec,
-    attach_head,
     bowen_franks,
-    build_tower,
-    first_return,
     graph_move,
     in_split,
     out_split,

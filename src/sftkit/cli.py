@@ -25,10 +25,10 @@ from .errors import (
     DepthExceeded,
     LeastPeriodViolation,
     NotPositiveClass,
-    ParseError,
     SftError,
+    VerificationFailed,
 )
-from .flow import TowerSpec, bowen_franks, build_tower, graph_move
+from .flow import Tower, TowerSpec, bowen_franks, graph_move
 from .groupoid import compose, invert, make_element, unit
 from .orbit import coe_to_flow_pipeline, derive_cocycle_pair, verify_coe
 from .samples import random_bipoints, random_point
@@ -43,6 +43,11 @@ def _emit(args, payload, text_lines):
     else:
         for line in text_lines:
             print(line)
+
+
+def _require(ok: bool, what: str):
+    if not ok:
+        raise VerificationFailed(f"{what} failed")
 
 
 def _load_fn(spec: str, P):
@@ -71,7 +76,7 @@ def cmd_language(args):
 def cmd_tower(args):
     P = sio.read_presentation(args.sft)
     f = _load_fn(args.f, P)
-    tower = build_tower(TowerSpec(P, f))
+    tower = Tower(TowerSpec(P, f))
     text = sio.format_presentation(tower.presentation)
     if args.out:
         with open(args.out, "w") as fh:
@@ -141,7 +146,7 @@ def cmd_positive(args):
                      "arcs": [sio.format_word(P, a.tag) for a in res.cycle]},
               [sio.format_negative_cycle(P, res).rstrip()])
         return FALSIFIED
-    assert res.verify(f)
+    _require(res.verify(f), "certificate check")
     _emit(args, {"result": "positive",
                  "b": {sio.format_word(P, w): v
                        for w, v in res.witness_b.table.items()},
@@ -249,19 +254,19 @@ def cmd_groupoid_check(args):
         c = make_element(x.shift(3), -3, x)
         ab_c = compose(compose(a, b), c)
         a_bc = compose(a, compose(b, c))
-        assert ab_c == a_bc, "associativity failed"
-        assert compose(a, invert(a)) == unit(x), "inverse law failed"
-        assert compose(unit(x), a) == a, "left unit failed"
+        _require(ab_c == a_bc, "associativity")
+        _require(compose(a, invert(a)) == unit(x), "inverse law")
+        _require(compose(unit(x), a) == a, "left unit")
         checks["axioms"] += 1
         g = CylinderFunction(P, 1, {w: rng.randint(-2, 2)
                                     for w in P.language(1)})
         val = groupoid_cocycle_eval(g, compose(a, b))
-        assert val == (groupoid_cocycle_eval(g, a)
-                       + groupoid_cocycle_eval(g, b)), "additivity failed"
-        assert groupoid_cocycle_eval(g, invert(a)) == \
-            -groupoid_cocycle_eval(g, a), "inversion failed"
-        db = g - g.pullback()
-        assert groupoid_cocycle_eval(db, a) == g(a.range_pt) - g(a.source_pt)
+        _require(val == (groupoid_cocycle_eval(g, a)
+                         + groupoid_cocycle_eval(g, b)), "additivity")
+        _require(groupoid_cocycle_eval(g, invert(a))
+                 == -groupoid_cocycle_eval(g, a), "inversion")
+        _require(groupoid_cocycle_eval(g.coboundary(), a)
+                 == g(a.range_pt) - g(a.source_pt), "coboundary law")
         checks["cocycle"] += 1
     _emit(args, {"samples": args.samples, "checks": checks},
           [f"groupoid axioms: {checks['axioms']} samples ok",
@@ -301,10 +306,9 @@ def build_parser():
     common(p)
     p.set_defaults(fn=cmd_tower)
 
-    p = sub.add_parser("move", help="graph moves (splits, attach-head)")
+    p = sub.add_parser("move", help="graph moves (out- and in-splits)")
     p.add_argument("sft")
-    p.add_argument("--kind", required=True,
-                   choices=["out_split", "in_split", "attach_head"])
+    p.add_argument("--kind", required=True, choices=["out_split", "in_split"])
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--parts", help="e.g. '0,1;2' (vertex indices)")
     p.add_argument("--out")
@@ -374,22 +378,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    except (DepthExceeded,) as e:
+    except DepthExceeded as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return INCONCLUSIVE
-    except LeastPeriodViolation as e:
+    except (LeastPeriodViolation, NotPositiveClass, VerificationFailed) as e:
         print(f"verified false: {e}", file=sys.stderr)
         return FALSIFIED
-    except NotPositiveClass as e:
-        print(f"verified false: {e}", file=sys.stderr)
-        return FALSIFIED
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    except SftError as e:
+    except (FileNotFoundError, SftError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cylinders import CylinderFunction, orbit_sum
-from .errors import InvalidElement, NotPositiveClass
+from .errors import InvalidElement, NotPositiveClass, VerificationFailed
 from .presentation import Presentation
 
 
@@ -137,7 +137,7 @@ def find_potential(W: WeightedTransitionGraph):
     total = sum(c.weight for c in cycle)
     witness = NegativeCycleWitness(tuple(cycle), total)
     if not witness.verify():
-        raise AssertionError("negative-cycle reconstruction failed")
+        raise VerificationFailed("negative-cycle reconstruction failed")
     return witness
 
 
@@ -155,7 +155,8 @@ def class_is_positive(P: Presentation, f: CylinderFunction):
         return res
     b = CylinderFunction(P, m, {w: -res.kappa[w] for w in W.nodes})
     n = f.refine(m + 1) - b + b.pullback()
-    assert n.is_nonnegative(), "potential failed to produce n >= 0"
+    if not n.is_nonnegative():
+        raise VerificationFailed("potential failed to produce n >= 0")
     return PositivityCertificate(b, n)
 
 

@@ -132,16 +132,6 @@ class CylinderFunction:
         return f"CylinderFunction(depth={self.depth}, {len(self.table)} words)"
 
 
-def eval_cylinder(f: CylinderFunction, x) -> int:
-    return f(x)
-
-
-def pullback_and_coboundary(f: CylinderFunction):
-    """(f o sigma, f - f o sigma), both of depth d+1."""
-    fs = f.pullback()
-    return fs, f.refine(f.depth + 1) - fs
-
-
 def orbit_sum(f: CylinderFunction, cycle: Word) -> int:
     """Sum of f over the periodic orbit of cycle^infinity."""
     P = f.presentation

@@ -12,6 +12,7 @@ from .cylinders import CylinderFunction
 from .errors import (
     InvalidPartition,
     NotInCrossSection,
+    VerificationFailed,
     ZeroFloorValue,
 )
 from .points import EvPerPoint
@@ -122,7 +123,9 @@ class Tower:
         x, _ = self.decode(p)
         rt = self.floors(x.shift(1))
         q = p.shift(rt)
-        assert self.in_cross_section(q)
+        if not self.in_cross_section(q):
+            raise VerificationFailed(
+                f"{q}, {rt} steps after {p}, is not in the cross section")
         return q, rt
 
     def conjugacy_from_base(self) -> "maps.PointMap":
@@ -133,14 +136,6 @@ class Tower:
             raise ValueError("only the trivial tower is a conjugacy")
         mapping = {v: (v, 0) for v in self.base.labels}
         return maps.relabel_map(self.base, self.presentation, mapping)
-
-
-def build_tower(spec: TowerSpec) -> Tower:
-    return Tower(spec)
-
-
-def first_return(tower: Tower, p: EvPerPoint):
-    return tower.first_return(p)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +265,9 @@ def bowen_franks(P: Presentation) -> InvariantReport:
         prod = 1
         for d in diag:
             prod *= d
-        assert prod == abs(det)
+        if prod != abs(det):
+            raise VerificationFailed(
+                f"Smith diagonal product {prod} is not |det| = {abs(det)}")
     return InvariantReport(tuple(diag), det)
 
 
@@ -342,26 +339,11 @@ def in_split(P: Presentation, vertex, parts) -> Presentation:
     return Presentation(labels, edges)
 
 
-def attach_head(P: Presentation, vertex) -> Presentation:
-    """Attach a head vertex feeding into `vertex`.
-
-    The new vertex has no in-edges, so this always trips the no-source
-    validation; the move exists as a graph utility and its rejection is the
-    documented behaviour.
-    """
-    head = ("head", vertex)
-    labels = list(P.labels) + [head]
-    edges = list(P.edges) + [(head, vertex)]
-    return Presentation(labels, edges)
-
-
 def graph_move(P: Presentation, move: str, vertex, parts=None) -> Presentation:
     if move == "out_split":
         return out_split(P, vertex, parts)
     if move == "in_split":
         return in_split(P, vertex, parts)
-    if move == "attach_head":
-        return attach_head(P, vertex)
     raise ValueError(f"unknown move {move!r}")
 
 

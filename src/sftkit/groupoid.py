@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cohomology import groupoid_cocycle_eval
 from .cylinders import CylinderFunction
 from .errors import (
     DegreeImpossible,
@@ -21,16 +22,12 @@ from .errors import (
     CocycleInconsistent,
 )
 from .points import EvPerPoint
-from .presentation import Presentation, Word, word
-
-
-def _rotations(c: Word):
-    return {c[i:] + c[:i] for i in range(len(c))}
+from .presentation import Presentation, Word, rotations, word
 
 
 def tail_equivalent(x: EvPerPoint, y: EvPerPoint) -> bool:
     """Same eventual cycle up to rotation."""
-    return x.cycle in _rotations(y.cycle)
+    return x.cycle in rotations(y.cycle)
 
 
 def _min_witnesses(x: EvPerPoint, y: EvPerPoint, n: int):
@@ -91,10 +88,6 @@ def invert(e: GroupoidElement) -> GroupoidElement:
     return GroupoidElement(e.source_pt, -e.degree, e.range_pt, (j, i))
 
 
-def cocycle_value(e: GroupoidElement) -> int:
-    return e.degree
-
-
 @dataclass(frozen=True)
 class CylinderBisection:
     """The basic bisection {(u t, |u|-|v|, v t)}; needs matching followers."""
@@ -137,24 +130,17 @@ class CylinderBisection:
                 f"{''.join(map(str, self.source_word))}")
 
 
-def bisection_apply(A: CylinderBisection, x: EvPerPoint):
-    return A.apply(x)
-
-
 def phi_from_oe_data(h, k: CylinderFunction, l: CylinderFunction,
                      eta: GroupoidElement) -> GroupoidElement:
     """Image of eta under the groupoid map induced by (h, k, l).
 
-    The degree is the (l - k)-weighted witness sum; a degree that admits no
-    witnesses between the h-images signals that (k, l) is not a genuine
-    cocycle pair for h.
+    The degree is the value of the groupoid cocycle of l - k at eta; a
+    degree that admits no witnesses between the h-images signals that
+    (k, l) is not a genuine cocycle pair for h.
     """
-    r, s = eta.witnesses
-    x, y = eta.range_pt, eta.source_pt
-    d = (sum(l(x.shift(i)) - k(x.shift(i)) for i in range(r))
-         - sum(l(y.shift(j)) - k(y.shift(j)) for j in range(s)))
+    d = groupoid_cocycle_eval(l - k, eta)
     try:
-        return make_element(h(x), d, h(y))
+        return make_element(h(eta.range_pt), d, h(eta.source_pt))
     except (NotTailEquivalent, DegreeImpossible) as e:
         raise CocycleInconsistent(
             f"(k,l) is not an h-cocycle pair at {eta}: {e}")

@@ -20,6 +20,7 @@ what makes cocycle derivation and verification exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InvalidCode, NeedDepth
 from .points import EvPerPoint
@@ -211,11 +212,6 @@ def identity_map(P: Presentation) -> PointMap:
     return PointMap(P, P, (), ())
 
 
-def apply_prefix_exchange(h: PointMap, p: EvPerPoint) -> EvPerPoint:
-    """Image of a point under a map built from prefix exchanges."""
-    return h.apply(p)
-
-
 def prefix_exchange(P, pairing, codomain=None, vertex_map=None) -> PointMap:
     cod = codomain if codomain is not None else P
     st = PrefixExchangeStage(P, cod, pairing, vertex_map)
@@ -271,6 +267,13 @@ class SymImage:
         """Reinterpret an image of sigma^extra(x) as an image over x."""
         return SymImage(self.prefix, self.chain, self.shift + extra)
 
+    def symbol(self, base: Word, i: int):
+        """Symbol i of the represented point, for all x in Z(base)."""
+        if i < len(self.prefix):
+            return self.prefix[i]
+        return _chain_symbol(self.chain, base,
+                             self.shift + i - len(self.prefix))
+
 
 def _chain_ant(chain) -> int:
     return sum(st.anticipation for st in chain)
@@ -287,13 +290,6 @@ def _chain_symbol(chain, base: Word, idx: int):
     return w[idx]
 
 
-def sym_symbol(S: SymImage, base: Word, i: int):
-    """Symbol i of the represented point, for all x in Z(base)."""
-    if i < len(S.prefix):
-        return S.prefix[i]
-    return _chain_symbol(S.chain, base, S.shift + i - len(S.prefix))
-
-
 def image_form(stages, base: Word, P: Presentation) -> SymImage:
     """Symbolic image of every x in Z(base) under the stage pipeline.
 
@@ -301,12 +297,6 @@ def image_form(stages, base: Word, P: Presentation) -> SymImage:
     retry with cylinders of length n.
     """
     W, chain, m = (), (), 0
-
-    def sym(i):
-        if i < len(W):
-            return W[i]
-        return _chain_symbol(chain, base, m + i - len(W))
-
     for st in stages:
         if isinstance(st, BlockStage):
             a = st.anticipation
@@ -314,7 +304,7 @@ def image_form(stages, base: Word, P: Presentation) -> SymImage:
             W = tuple(st.table[ext[i:i + st.window]] for i in range(len(W)))
             chain = chain + (st,)
         else:
-            u = st.lookup(sym)
+            u = st.lookup(partial(SymImage(W, chain, m).symbol, base))
             v = st.pairing[u]
             if len(u) <= len(W):
                 rest = tuple(st.map_tail_symbol(s) for s in W[len(u):])
@@ -343,11 +333,21 @@ def sides_agree(S1: SymImage, S2: SymImage, base: Word):
     if S1.offset != S2.offset:
         return False, f"misaligned tails ({S1.offset} vs {S2.offset})"
     for p in range(max(len(S1.prefix), len(S2.prefix))):
-        a = sym_symbol(S1, base, p)
-        b = sym_symbol(S2, base, p)
+        a = S1.symbol(base, p)
+        b = S2.symbol(base, p)
         if a != b:
             return False, f"symbols differ at position {p}: {a!r} vs {b!r}"
     return True, None
+
+
+def _cocycle_sides(stages, base: Word, P: Presentation):
+    """The symbolic images of x and of sigma(x), both over x in Z(base)."""
+    S_x = image_form(stages, base, P)
+    try:
+        S_sx = image_form(stages, base[1:], P).rebased(1)
+    except NeedDepth as e:
+        raise NeedDepth(e.needed + 1)
+    return S_x, S_sx
 
 
 def minimal_cocycle_on_cylinder(stages, base: Word, P: Presentation):
@@ -359,11 +359,7 @@ def minimal_cocycle_on_cylinder(stages, base: Word, P: Presentation):
     """
     if len(base) < 1:
         raise NeedDepth(1)
-    S_x = image_form(stages, base, P)
-    try:
-        S_sx = image_form(stages, base[1:], P).rebased(1)
-    except NeedDepth as e:
-        raise NeedDepth(e.needed + 1)
+    S_x, S_sx = _cocycle_sides(stages, base, P)
     delta = S_x.offset - S_sx.offset
     k0 = max(0, -delta)
     l0 = k0 + delta
@@ -373,25 +369,13 @@ def minimal_cocycle_on_cylinder(stages, base: Word, P: Presentation):
         raise InvalidCode("stage pipeline produced mismatched tail transforms")
     last_bad = -1
     for p in range(max(len(A.prefix), len(B.prefix))):
-        a = _side_symbol(A, base, p)
-        b = _side_symbol(B, base, p)
-        if a != b:
+        if A.symbol(base, p) != B.symbol(base, p):
             last_bad = p
     c = last_bad + 1
     return k0 + c, l0 + c
 
 
-def _side_symbol(S: SymImage, base: Word, p: int):
-    if p < len(S.prefix):
-        return S.prefix[p]
-    return _chain_symbol(S.chain, base, S.shift + p - len(S.prefix))
-
-
 def verify_cocycle_on_cylinder(stages, base: Word, P: Presentation, k: int, l: int):
     """Check sigma^k(h(sigma x)) = sigma^l(h(x)) for all x in Z(base)."""
-    S_x = image_form(stages, base, P)
-    try:
-        S_sx = image_form(stages, base[1:], P).rebased(1)
-    except NeedDepth as e:
-        raise NeedDepth(e.needed + 1)
+    S_x, S_sx = _cocycle_sides(stages, base, P)
     return sides_agree(S_sx.shifted(k), S_x.shifted(l), base)

@@ -18,6 +18,7 @@ from .errors import (
     DepthExceeded,
     LeastPeriodViolation,
     NeedDepth,
+    VerificationFailed,
 )
 from .maps import (
     PointMap,
@@ -242,7 +243,7 @@ def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
     pair_prime = derive_cocycle_pair(h.inverse(), max_depth)
     report = verify_coe(h, pair, pair_prime, max_cycle_len)
     if not report.verified:
-        raise AssertionError(
+        raise VerificationFailed(
             f"derived pair failed its own verification: {report.failures[:2]}")
     if not report.least_period_preserving:
         if repair_lp:

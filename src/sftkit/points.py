@@ -19,15 +19,7 @@ from .errors import (
     NegativeShiftOneSided,
     NotPeriodic,
 )
-from .presentation import Presentation, Word, word
-
-
-def _primitive_root(c: Word) -> Word:
-    n = len(c)
-    for d in range(1, n + 1):
-        if n % d == 0 and c == (c[:d] * (n // d)):
-            return c[:d]
-    return c
+from .presentation import Presentation, Word, primitive_root, word
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class EvPerPoint:
         if not P.is_admissible(prefix + cycle + cycle[:1]):
             raise InadmissibleWord(
                 f"{prefix!r}.{cycle!r}^inf is not admissible")
-        cycle = _primitive_root(cycle)
+        cycle = primitive_root(cycle)
         while prefix and prefix[-1] == cycle[-1]:
             prefix = prefix[:-1]
             cycle = cycle[-1:] + cycle[:-1]
@@ -97,19 +89,6 @@ class EvPerPoint:
         pre = "".join(map(str, self.prefix))
         cyc = "".join(map(str, self.cycle))
         return f"{pre}/{cyc}"
-
-
-def normalize_point(prefix, cycle, P: Presentation) -> EvPerPoint:
-    return EvPerPoint.make(P, prefix, cycle)
-
-
-def shift_point(p, j: int):
-    """sigma^j on either kind of point (j >= 0 for one-sided)."""
-    return p.shift(j)
-
-
-def least_period(p) -> int:
-    return p.least_period()
 
 
 def is_isolated(P: Presentation, p: EvPerPoint) -> bool:
@@ -156,7 +135,7 @@ class BiPoint:
         seq = lc + lc + mid + rc + rc
         if not P.is_admissible(seq):
             raise InadmissibleWord("bi-infinite representation not admissible")
-        lc, rc = _primitive_root(lc), _primitive_root(rc)
+        lc, rc = primitive_root(lc), primitive_root(rc)
         phase = int(phase)
         # grow the right tail leftward through the middle
         while mid and mid[-1] == rc[-1]:
@@ -252,10 +231,3 @@ class BiPoint:
         mid = "".join(map(str, self.middle))
         rc = "".join(map(str, self.right_cycle))
         return f"{lc}|{mid}|{rc}@{self.phase}"
-
-
-def two_sided_from_one_sided(P: Presentation, left_cycle, p: EvPerPoint,
-                             phase=0) -> BiPoint:
-    """BiPoint whose coordinates from the anchor rightward read p and whose
-    left tail is left_cycle-periodic."""
-    return BiPoint.make(P, left_cycle, p.prefix, p.cycle, phase)

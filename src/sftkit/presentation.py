@@ -128,23 +128,22 @@ class Presentation:
             return [(v,) for v in self.labels]
         return [w + (b,) for b in self._out[w[-1]]]
 
-    def cycles(self, max_len: int, primitive_only=True):
-        """Closed admissible words of length <= max_len, one per rotation
-        class.  These are exactly the periodic-orbit representatives."""
+    def cycles(self, max_len: int):
+        """Primitive closed admissible words of length <= max_len, one per
+        rotation class.  These are exactly the periodic-orbit
+        representatives."""
         found = []
         seen = set()
         for length in range(1, max_len + 1):
             for w in sorted(self.language(length), key=self._sort_key):
                 if not self.has_edge(w[-1], w[0]):
                     continue
-                rot = min((w[i:] + w[:i] for i in range(len(w))),
-                          key=self._sort_key)
+                rot = min(rotations(w), key=self._sort_key)
                 if rot in seen:
                     continue
                 seen.add(rot)
-                if primitive_only and not _is_primitive(w):
-                    continue
-                found.append(w)
+                if primitive_root(w) == w:
+                    found.append(w)
         return found
 
     def simple_cycles(self, max_len=None):
@@ -204,12 +203,18 @@ class Presentation:
         return sorted(ws, key=self._sort_key)
 
 
-def _is_primitive(w: Word) -> bool:
+def rotations(w: Word) -> list:
+    """The rotations w[i:] + w[:i] of a word, for i = 0 .. len(w) - 1."""
+    return [w[i:] + w[:i] for i in range(len(w))]
+
+
+def primitive_root(w: Word) -> Word:
+    """The shortest u with w = u^k; w itself when w is primitive."""
     n = len(w)
     for d in range(1, n):
-        if n % d == 0 and w == w[d:] + w[:d]:
-            return False
-    return True
+        if n % d == 0 and w == w[:d] * (n // d):
+            return w[:d]
+    return w
 
 
 def build_presentation(adjacency) -> Presentation:
@@ -348,8 +353,3 @@ def _all_words(alphabet, L):
     for _ in range(L):
         words = [w + (a,) for w in words for a in alphabet]
     return words
-
-
-def language(P: Presentation, m: int):
-    """Module-level alias for P.language(m)."""
-    return P.language(m)

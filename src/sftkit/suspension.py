@@ -18,6 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 from .cohomology import positive_on_cycles
@@ -202,8 +203,14 @@ class FlowMapData:
             if (b_prime.min_value() < 0
                     or (b_prime - (l_prime - n_prime)).min_value() < 0):
                 raise ValueError("need b' >= 0 and b' >= l' - n' pointwise")
-        self.n_positive_on_cycles = positive_on_cycles(X, n)
-        self.n_prime_positive_on_cycles = positive_on_cycles(Y, n_prime)
+
+    @cached_property
+    def n_positive_on_cycles(self) -> bool:
+        return positive_on_cycles(self.domain, self.n)
+
+    @cached_property
+    def n_prime_positive_on_cycles(self) -> bool:
+        return positive_on_cycles(self.codomain, self.n_prime)
 
     @property
     def domain(self):
@@ -218,12 +225,18 @@ class FlowMapData:
         return self.h(x).shift(self.b(x))
 
     def primed(self) -> "FlowMapData":
-        """The same bundle read from the other side."""
-        return FlowMapData(self.h.inverse(), self.k_prime, self.l_prime,
-                           self.k, self.l, self.b_prime, self.b,
-                           self.n_prime, self.n,
-                           tuple(reversed(self.shift_constants)),
-                           validate=self.validated)
+        """The same bundle read from the other side.
+
+        Validation is symmetric in the two sides, so a validated bundle's
+        mirror is validated without checking it again.
+        """
+        D = FlowMapData(self.h.inverse(), self.k_prime, self.l_prime,
+                        self.k, self.l, self.b_prime, self.b,
+                        self.n_prime, self.n,
+                        tuple(reversed(self.shift_constants)),
+                        validate=False)
+        D.validated = self.validated
+        return D
 
     def _require_positive_cycles(self):
         if not self.n_positive_on_cycles:
@@ -354,10 +367,6 @@ def robert_bound(D: FlowMapData, bx: BiPoint) -> int:
 def find_round_trip_shift(x: BiPoint, w: BiPoint, bound: int):
     """The d with sigma^d(x) = w, if any within |d| <= bound."""
     if x.is_periodic():
-        if not (w.is_periodic() and w.right_cycle in
-                {x.right_cycle[i:] + x.right_cycle[:i]
-                 for i in range(len(x.right_cycle))}):
-            return None
         for d in range(len(x.right_cycle)):
             if x.shift(d) == w:
                 return d if d <= bound else None

@@ -17,7 +17,6 @@ from sftkit import (
     OrbitEquivalence,
     bold_varphi,
     bowen_franks,
-    build_tower,
     class_is_positive,
     coe_to_flow_pipeline,
     compose,
@@ -35,6 +34,7 @@ from sftkit import (
     verify_coe,
     verify_flow_claims,
     word,
+    Tower,
     TowerSpec,
 )
 from sftkit.cohomology import Arc, NegativeCycleWitness, Potential, \
@@ -121,12 +121,12 @@ def test_criterion_3_tower_invariance():
         P = random_presentation(rng, max_vertices=5)
         f = CylinderFunction(P, 1, {w: rng.randint(1, 3)
                                     for w in P.language(1)})
-        tower = build_tower(TowerSpec(P, f))
+        tower = Tower(TowerSpec(P, f))
         assert bowen_franks(tower.presentation) == bowen_franks(P)
     # the trivial tower is the same graph up to the (v, 0) relabeling
     for _ in range(10):
         P = random_presentation(rng, max_vertices=5)
-        tower = build_tower(TowerSpec(P, CylinderFunction.constant(P, 1)))
+        tower = Tower(TowerSpec(P, CylinderFunction.constant(P, 1)))
         relabel = {v: (v, 0) for v in P.labels}
         assert set(tower.presentation.labels) == set(relabel.values())
         assert tower.presentation.edges == \
@@ -139,7 +139,7 @@ def test_criterion_4_tower_groupoid_iso():
     rng = random.Random(7)
     P = golden_mean()
     f = CylinderFunction.from_values(P, {"0": 2, "1": 1})
-    tower = build_tower(TowerSpec(P, f))
+    tower = Tower(TowerSpec(P, f))
     count = 0
     image_of = {}
     preimage_of = {}

@@ -3,9 +3,7 @@ import pytest
 from sftkit import (
     CylinderFunction,
     EvPerPoint,
-    eval_cylinder,
     orbit_sum,
-    pullback_and_coboundary,
     word,
 )
 from sftkit.errors import NotClosed, WordTooShort
@@ -13,7 +11,7 @@ from sftkit.errors import NotClosed, WordTooShort
 
 def test_eval_depth1(full2):
     f = CylinderFunction.from_values(full2, {"0": 3, "1": -1})
-    assert eval_cylinder(f, EvPerPoint.make(full2, (), (0, 1))) == 3
+    assert f(EvPerPoint.make(full2, (), (0, 1))) == 3
     assert f(word("10")) == -1
 
 
@@ -46,7 +44,7 @@ def test_table_must_be_total(gm):
 
 def test_pullback_and_coboundary(full2):
     f = CylinderFunction.from_values(full2, {"0": 3, "1": -1})
-    fs, df = pullback_and_coboundary(f)
+    fs, df = f.pullback(), f.coboundary()
     assert fs.depth == 2 and df.depth == 2
     assert df.table == {(0, 0): 0, (0, 1): 4, (1, 0): -4, (1, 1): 0}
     assert fs.table == {(0, 0): 3, (0, 1): -1, (1, 0): 3, (1, 1): -1}
@@ -54,13 +52,13 @@ def test_pullback_and_coboundary(full2):
 
 def test_coboundary_of_constant_vanishes(gm):
     f = CylinderFunction.constant(gm, 9)
-    _, df = pullback_and_coboundary(f)
+    df = f.coboundary()
     assert set(df.table.values()) == {0}
 
 
 def test_coboundary_telescopes(full2):
     f = CylinderFunction.from_values(full2, {"0": 3, "1": -1})
-    _, df = pullback_and_coboundary(f)
+    df = f.coboundary()
     assert orbit_sum(df, word("01")) == 0
     assert orbit_sum(df, word("0")) == 0
     assert orbit_sum(df, word("0011")) == 0

@@ -5,11 +5,9 @@ import pytest
 from sftkit import (
     CylinderFunction,
     EvPerPoint,
+    Tower,
     TowerSpec,
-    attach_head,
     bowen_franks,
-    build_tower,
-    first_return,
     graph_move,
     in_split,
     out_split,
@@ -19,7 +17,6 @@ from sftkit.errors import (
     InvalidPartition,
     NotInCrossSection,
     ZeroFloorValue,
-    ZeroRowOrColumn,
 )
 from sftkit.flow import determinant, smith_normal_form
 from sftkit.samples import random_presentation
@@ -27,21 +24,21 @@ from sftkit.samples import random_presentation
 
 def test_tower_trivial_floor(single_loop):
     f = CylinderFunction.constant(single_loop, 1)
-    tower = build_tower(TowerSpec(single_loop, f))
+    tower = Tower(TowerSpec(single_loop, f))
     assert len(tower.presentation.labels) == 1
     assert len(tower.presentation.edges) == 1
 
 
 def test_tower_double_floor(single_loop):
     f = CylinderFunction.constant(single_loop, 2)
-    tower = build_tower(TowerSpec(single_loop, f))
+    tower = Tower(TowerSpec(single_loop, f))
     assert sorted(tower.presentation.edges) == \
         [(("a", 0), ("a", 1)), (("a", 1), ("a", 0))]
 
 
 def test_tower_golden_mean_example(gm):
     f = CylinderFunction.from_values(gm, {"0": 1, "1": 2})
-    tower = build_tower(TowerSpec(gm, f))
+    tower = Tower(TowerSpec(gm, f))
     assert set(tower.presentation.labels) == {(0, 0), (1, 0), (1, 1)}
     assert tower.presentation.edges == frozenset({
         ((0, 0), (0, 0)), ((0, 0), (1, 1)),
@@ -57,34 +54,34 @@ def test_tower_rejects_zero_floor(gm):
 
 def test_tower_deep_floor_function_recoded(gm):
     f = CylinderFunction.from_values(gm, {"00": 1, "01": 2, "10": 3})
-    tower = build_tower(TowerSpec(gm, f))
+    tower = Tower(TowerSpec(gm, f))
     assert bowen_franks(tower.presentation) == bowen_franks(gm)
 
 
 def test_first_return(single_loop, gm):
     f = CylinderFunction.constant(single_loop, 2)
-    tower = build_tower(TowerSpec(single_loop, f))
+    tower = Tower(TowerSpec(single_loop, f))
     p = tower.iota(EvPerPoint.make(single_loop, (), ("a",)), 0)
-    assert first_return(tower, p) == (p, 2)
+    assert tower.first_return(p) == (p, 2)
 
     g = CylinderFunction.from_values(gm, {"0": 1, "1": 2})
-    tw = build_tower(TowerSpec(gm, g))
+    tw = Tower(TowerSpec(gm, g))
     x = EvPerPoint.make(gm, (), (0, 1))
     p = tw.iota(x, 0)
-    q, rt = first_return(tw, p)
+    q, rt = tw.first_return(p)
     assert rt == g(x.shift(1))
     assert q == tw.iota(x.shift(1), 0)
     with pytest.raises(NotInCrossSection):
-        first_return(tw, tw.iota(x.shift(1), 1))
+        tw.first_return(tw.iota(x.shift(1), 1))
 
 
 def test_first_return_generates_orbit(gm):
     g = CylinderFunction.from_values(gm, {"0": 2, "1": 3})
-    tw = build_tower(TowerSpec(gm, g))
+    tw = Tower(TowerSpec(gm, g))
     x = EvPerPoint.make(gm, (1,), (0, 0, 1))
     p = tw.iota(x, 0)
     for step in range(1, 5):
-        p, rt = first_return(tw, p)
+        p, rt = tw.first_return(p)
         assert rt == g(x.shift(step))
         assert p == tw.iota(x.shift(step), 0)
 
@@ -92,7 +89,7 @@ def test_first_return_generates_orbit(gm):
 def test_iota_intertwines_shift(gm):
     # iota at floor 0 then one tower step per floor recovers sigma
     g = CylinderFunction.from_values(gm, {"0": 1, "1": 2})
-    tw = build_tower(TowerSpec(gm, g))
+    tw = Tower(TowerSpec(gm, g))
     x = EvPerPoint.make(gm, (0,), (0, 1))
     p = tw.iota(x, 0)
     assert p.shift(g(x.shift(1))) == tw.iota(x.shift(1), 0)
@@ -142,7 +139,7 @@ def test_tower_preserves_bowen_franks_randomly():
         P = random_presentation(rng, max_vertices=5)
         f = CylinderFunction(P, 1, {w: rng.randint(1, 3)
                                     for w in P.language(1)})
-        tower = build_tower(TowerSpec(P, f))
+        tower = Tower(TowerSpec(P, f))
         assert bowen_franks(tower.presentation) == bowen_franks(P)
 
 
@@ -166,12 +163,6 @@ def test_split_partition_validation(full2, gm):
         out_split(full2, 0, [[0], []])
     with pytest.raises(InvalidPartition):
         in_split(gm, 0, [[0]])  # misses in-neighbor 1
-
-
-def test_attach_head_is_flagged(single_loop):
-    with pytest.raises(ZeroRowOrColumn) as e:
-        attach_head(single_loop, "a")
-    assert e.value.kind == "column"
 
 
 def test_out_split_conjugacy_roundtrip(full2):

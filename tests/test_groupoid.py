@@ -5,9 +5,8 @@ import pytest
 from sftkit import (
     CylinderFunction,
     EvPerPoint,
+    Tower,
     TowerSpec,
-    bisection_apply,
-    build_tower,
     compose,
     invert,
     make_element,
@@ -86,14 +85,14 @@ def test_groupoid_axioms_random(full2):
 def test_bisection_examples(full2):
     ident = CylinderBisection.make(full2, (), ())
     x = EvPerPoint.make(full2, (1,), (0, 1))
-    assert bisection_apply(ident, x) == (x, 0)
+    assert ident.apply(x) == (x, 0)
 
     A = CylinderBisection.make(full2, word("10"), word("0"))
     x0 = EvPerPoint.make(full2, (), (0,))
-    img, c = bisection_apply(A, x0)
+    img, c = A.apply(x0)
     assert img == EvPerPoint.make(full2, (1,), (0,)) and c == 1
     with pytest.raises(NotInSource):
-        bisection_apply(A, EvPerPoint.make(full2, (), (1,)))
+        A.apply(EvPerPoint.make(full2, (), (1,)))
 
 
 def test_bisection_element(full2):
@@ -178,7 +177,7 @@ def test_phi_preserves_least_period_degree(full2, std_exchange):
 def _loop_tower(floors):
     loop = Presentation(["a"], [("a", "a")])
     f = CylinderFunction.constant(loop, floors)
-    return loop, f, build_tower(TowerSpec(loop, f))
+    return loop, f, Tower(TowerSpec(loop, f))
 
 
 def test_tower_iso_trivial_floor():
@@ -221,7 +220,7 @@ def test_tower_element_floor_bounds():
 
 def test_tower_iso_homomorphism(gm):
     f = CylinderFunction.from_values(gm, {"0": 1, "1": 2})
-    tower = build_tower(TowerSpec(gm, f))
+    tower = Tower(TowerSpec(gm, f))
     rng = random.Random(9)
     from sftkit.groupoid import tower_compose, tower_invert
     for _ in range(30):

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sftkit
 from sftkit import BiPoint, CylinderFunction, EvPerPoint, full_shift
 from sftkit.cli import main
 from sftkit.errors import ParseError
@@ -136,11 +138,28 @@ def test_cli_move_and_groupoid_check(tree, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "vertices 3" in out
-    assert main(["move", str(tree / "golden.sft"), "--kind", "attach_head",
-                 "--vertex", "0"]) == 2
+    with pytest.raises(SystemExit) as e:
+        main(["move", str(tree / "golden.sft"), "--kind", "attach_head",
+              "--vertex", "0"])
+    assert e.value.code == 2
     capsys.readouterr()
     assert main(["groupoid-check", str(tree / "golden.sft"),
                  "--samples", "5"]) == 0
+
+
+def test_groupoid_check_fails_under_optimize(tree):
+    """A broken cocycle law exits 1 even under python -O, which strips
+    assert statements."""
+    code = ("import sys; from sftkit import cli; "
+            "cli.groupoid_cocycle_eval = lambda g, eta: 1; "
+            f"sys.exit(cli.main(['groupoid-check', {str(tree / 'golden.sft')!r}, "
+            "'--samples', '5']))")
+    src = os.path.dirname(os.path.dirname(sftkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "verified false: additivity failed" in proc.stderr
 
 
 def test_console_script_runs():

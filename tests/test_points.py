@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,6 @@ from sftkit import (
     EvPerPoint,
     full_shift,
     is_isolated,
-    normalize_point,
     word,
 )
 from sftkit.errors import (
@@ -15,29 +16,30 @@ from sftkit.errors import (
     NotPeriodic,
 )
 from sftkit.presentation import Presentation
+from sftkit.samples import random_presentation
 
 FULL2 = full_shift(2)
 
 
 def test_normalize_primitivity(full2):
-    p = normalize_point((), word("0101"), full2)
+    p = EvPerPoint.make(full2, (), word("0101"))
     assert (p.prefix, p.cycle) == ((), (0, 1))
 
 
 def test_normalize_minimal_prefix():
     P = full_shift(2, labels=("a", "b"))
-    p = normalize_point(word("abb"), word("ab"), P)
+    p = EvPerPoint.make(P, word("abb"), word("ab"))
     assert (p.prefix, p.cycle) == (("a", "b"), ("b", "a"))
 
 
 def test_normalize_already_canonical(gm):
-    p = normalize_point((1,), (0,), gm)
+    p = EvPerPoint.make(gm, (1,), (0,))
     assert (p.prefix, p.cycle) == ((1,), (0,))
 
 
 def test_normalize_rejects_inadmissible(gm):
     with pytest.raises(InadmissibleWord):
-        normalize_point((1,), (1,), gm)
+        EvPerPoint.make(gm, (1,), (1,))
 
 
 @settings(max_examples=150, deadline=None)
@@ -47,18 +49,18 @@ def test_normalize_rejects_inadmissible(gm):
 def test_normalize_identifies_representations(pre, cyc, pad, reps):
     """Padding the prefix out of the cycle and repeating the cycle gives the
     same canonical point."""
-    base = normalize_point(tuple(pre), tuple(cyc), FULL2)
-    assert normalize_point(tuple(pre), tuple(cyc) * reps, FULL2) == base
+    base = EvPerPoint.make(FULL2, tuple(pre), tuple(cyc))
+    assert EvPerPoint.make(FULL2, tuple(pre), tuple(cyc) * reps) == base
     # move `pad` symbols of the expansion into the prefix
     expanded_prefix = tuple(base.symbol(i) for i in range(len(pre) + pad))
     rotated = tuple(base.symbol(i) for i in
                     range(len(pre) + pad, len(pre) + pad + base.least_period()))
-    assert normalize_point(expanded_prefix, rotated, FULL2) == base
+    assert EvPerPoint.make(FULL2, expanded_prefix, rotated) == base
 
 
 def test_normalize_idempotent(full2):
-    p = normalize_point(word("110"), word("10"), full2)
-    again = normalize_point(p.prefix, p.cycle, full2)
+    p = EvPerPoint.make(full2, word("110"), word("10"))
+    again = EvPerPoint.make(full2, p.prefix, p.cycle)
     assert p == again
 
 
@@ -86,7 +88,7 @@ def test_least_period(full2):
 
 
 def test_least_period_divides_any_cycle_representation(full2):
-    p = normalize_point((), word("011011"), full2)
+    p = EvPerPoint.make(full2, (), word("011011"))
     assert p.least_period() == 3
     assert 6 % p.least_period() == 0
 
@@ -188,3 +190,78 @@ def test_bipoint_tail_respects_phase(full2):
 def test_bipoint_shift_additive(i, j):
     b = BiPoint.make(FULL2, (0,), (1,), (0, 1), 1)
     assert b.shift(i).shift(j) == b.shift(i + j)
+
+
+# -- canonical forms on full shifts and seeded random presentations ------------
+
+PRESENTATIONS = st.one_of(
+    st.sampled_from([FULL2, full_shift(3)]),
+    st.integers(0, 2 ** 16).map(
+        lambda seed: random_presentation(random.Random(seed))))
+
+
+@st.composite
+def tail_words(draw, P, start=None):
+    """An arbitrary (prefix, cycle) representation of a one-sided point of
+    P: a walk that runs on until it revisits a vertex, with the loop it
+    closes repeated and partly unrolled into the prefix."""
+    walk = [start if start is not None else draw(st.sampled_from(P.labels))]
+    for _ in range(draw(st.integers(0, 3))):
+        walk.append(draw(st.sampled_from(P.out_neighbors(walk[-1]))))
+    free = len(walk) - 1
+    while walk[-1] not in walk[free:-1]:
+        walk.append(draw(st.sampled_from(P.out_neighbors(walk[-1]))))
+    i = walk.index(walk[-1], free)
+    prefix = tuple(walk[:i])
+    cycle = tuple(walk[i:-1]) * draw(st.integers(1, 3))
+    pad = draw(st.integers(0, len(cycle)))
+    return prefix + cycle[:pad], cycle[pad:] + cycle[:pad]
+
+
+@st.composite
+def one_sided(draw):
+    P = draw(PRESENTATIONS)
+    prefix, cycle = draw(tail_words(P))
+    return P, prefix, cycle
+
+
+@st.composite
+def two_sided(draw):
+    """A left loop, then a one-sided tail entered from its last vertex."""
+    P = draw(PRESENTATIONS)
+    _, left = draw(tail_words(P))
+    start = draw(st.sampled_from(P.out_neighbors(left[-1])))
+    middle, right = draw(tail_words(P, start))
+    return BiPoint.make(P, left, middle, right, draw(st.integers(-6, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_sided())
+def test_evperpoint_make_is_idempotent(case):
+    P, prefix, cycle = case
+    p = EvPerPoint.make(P, prefix, cycle)
+    assert EvPerPoint.make(P, p.prefix, p.cycle) == p
+    n = len(prefix) + 2 * len(cycle)
+    assert p.symbols(n) == (prefix + cycle * 2)[:n]
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_sided())
+def test_bipoint_make_is_idempotent(bx):
+    again = BiPoint.make(bx.presentation, bx.left_cycle, bx.middle,
+                         bx.right_cycle, bx.phase)
+    assert again == bx
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_sided(), st.integers(0, 8), st.integers(0, 8))
+def test_one_sided_shift_is_additive(case, a, b):
+    p = EvPerPoint.make(*case)
+    assert p.shift(a).shift(b) == p.shift(a + b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_sided(), st.integers(0, 12))
+def test_tail_reads_word_range(bx, k):
+    for i in range(-8, 9):
+        assert bx.tail(i).symbols(k) == bx.word_range(i, i + k)

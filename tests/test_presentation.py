@@ -23,8 +23,9 @@ def test_no_zero_row_or_column():
     with pytest.raises(ZeroRowOrColumn) as e:
         build_presentation([[0, 0], [1, 1]])
     assert e.value.kind == "row" and e.value.index == 0
-    with pytest.raises(ZeroRowOrColumn):
+    with pytest.raises(ZeroRowOrColumn) as e:
         build_presentation([[1, 0], [1, 0]])
+    assert e.value.kind == "column"
 
 
 def test_rejects_non_binary():
