@@ -23,6 +23,7 @@ from .cohomology import (
 from .cylinders import CylinderFunction
 from .errors import (
     DepthExceeded,
+    InvalidPartition,
     LeastPeriodViolation,
     NotPositiveClass,
     SftError,
@@ -96,15 +97,25 @@ def cmd_tower(args):
     return OK
 
 
+def _vertex_label(P, index):
+    """The label of the vertex with this index, as --vertex and --parts
+    give it."""
+    text = str(index).strip()
+    if not (text.isdecimal() and int(text) < len(P.labels)):
+        raise InvalidPartition(
+            f"{index} is not a vertex index (0..{len(P.labels) - 1})")
+    return P.labels[int(text)]
+
+
 def _parse_parts(P, text):
-    return [[P.labels[int(i)] for i in part.split(",") if i != ""]
+    return [[_vertex_label(P, i) for i in part.split(",") if i != ""]
             for part in text.split(";")]
 
 
 def cmd_move(args):
     P = sio.read_presentation(args.sft)
-    vertex = P.labels[args.vertex]
-    parts = _parse_parts(P, args.parts) if args.parts else None
+    vertex = _vertex_label(P, args.vertex)
+    parts = _parse_parts(P, args.parts) if args.parts is not None else None
     Q = graph_move(P, args.kind, vertex, parts)
     text = sio.format_presentation(Q)
     if args.out:

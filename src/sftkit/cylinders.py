@@ -139,8 +139,8 @@ def orbit_sum(f: CylinderFunction, cycle: Word) -> int:
     if not cycle or not P.is_admissible(cycle) or not P.has_edge(cycle[-1], cycle[0]):
         raise NotClosed(f"{cycle!r} is not a closed admissible word")
     n = len(cycle)
-    total = 0
-    for i in range(n):
-        w = tuple(cycle[(i + t) % n] for t in range(f.width()))
-        total += f.value_on(w)
-    return total
+    if f.depth == 0:
+        return n * next(iter(f.table.values()))
+    k = f.depth
+    ext = cycle * (k // n + 2)
+    return sum(f.table[ext[i:i + k]] for i in range(n))

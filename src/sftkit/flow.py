@@ -276,6 +276,11 @@ def bowen_franks(P: Presentation) -> InvariantReport:
 # ---------------------------------------------------------------------------
 
 def _check_partition(P, vertex, parts, neighbor_kind):
+    if vertex not in P.labels:
+        raise InvalidPartition(f"{vertex!r} is not a vertex")
+    if parts is None:
+        raise InvalidPartition(
+            f"a split of {vertex!r} needs parts of its {neighbor_kind}-neighbors")
     nbrs = set(P.out_neighbors(vertex) if neighbor_kind == "out"
                else P.in_neighbors(vertex))
     parts = [tuple(p) for p in parts]

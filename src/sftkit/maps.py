@@ -116,13 +116,21 @@ class PrefixExchangeStage:
                     raise InvalidCode(
                         f"follower mismatch on {u!r} -> {v!r}")
         self.max_code_len = max(map(len, self.pairing), default=0)
-        self._by_length = sorted(self.pairing, key=len)
+        self._lengths = sorted({len(u) for u in self.pairing})
 
     def lookup(self, sym):
-        """Code word matching a point given by a symbol accessor."""
-        for u in self._by_length:
-            if all(sym(i) == u[i] for i in range(len(u))):
-                return u
+        """Code word matching a point given by a symbol accessor.
+
+        Symbols are read in order and only up to the length of the matching
+        code word, so an accessor that cannot supply symbol i is asked for
+        it only when the match needs it.
+        """
+        w = ()
+        for n in self._lengths:
+            while len(w) < n:
+                w += (sym(len(w)),)
+            if w in self.pairing:
+                return w
         raise InvalidCode("no code word matches; code is not complete")
 
     def map_tail_symbol(self, s):

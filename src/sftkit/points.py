@@ -13,11 +13,13 @@ equality:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     InadmissibleWord,
     NegativeShiftOneSided,
     NotPeriodic,
+    VerificationFailed,
 )
 from .presentation import Presentation, Word, primitive_root, word
 
@@ -72,12 +74,18 @@ class EvPerPoint:
     # -- dynamics ---------------------------------------------------------
 
     def shift(self, j: int = 1) -> "EvPerPoint":
+        """sigma^j, built directly from this already-canonical point.
+
+        A suffix of a minimal prefix is still minimal and a rotation of a
+        primitive cycle is still primitive, so the result equals
+        EvPerPoint.make of the shifted words without re-checking them.
+        """
         if j < 0:
             raise NegativeShiftOneSided("one-sided shift needs j >= 0")
         if j <= len(self.prefix):
-            return EvPerPoint.make(self.presentation, self.prefix[j:], self.cycle)
+            return EvPerPoint(self.presentation, self.prefix[j:], self.cycle)
         r = (j - len(self.prefix)) % len(self.cycle)
-        return EvPerPoint.make(self.presentation, (), self.cycle[r:] + self.cycle[:r])
+        return EvPerPoint(self.presentation, (), self.cycle[r:] + self.cycle[:r])
 
     def least_period(self) -> int:
         return len(self.cycle)
@@ -153,14 +161,19 @@ class BiPoint:
                 r = phase % p
                 c = rc[r:] + rc[:r]
                 return BiPoint(P, c, (), c, 0)
-            # push the boundary left while the right tail extends; distinct
-            # primitive cycles must disagree within lcm(|lc|,|rc|) rotations
-            guard = len(lc) * len(rc)
-            while lc[-1] == rc[-1] and guard > 0:
+            # push the boundary left while the right tail extends.  By
+            # Fine-Wilf the distinct primitive lc and rc cannot agree on
+            # |lc| + |rc| - gcd symbols, so fewer steps than that suffice.
+            steps = len(lc) + len(rc) - gcd(len(lc), len(rc)) - 1
+            while lc[-1] == rc[-1]:
+                if steps == 0:
+                    raise VerificationFailed(
+                        f"tails {lc!r} and {rc!r} agree past the Fine-Wilf "
+                        f"bound")
                 rc = rc[-1:] + rc[:-1]
                 lc = lc[-1:] + lc[:-1]
                 phase += 1
-                guard -= 1
+                steps -= 1
         return BiPoint(P, lc, mid, rc, phase)
 
     @staticmethod

@@ -129,22 +129,40 @@ class Presentation:
         return [w + (b,) for b in self._out[w[-1]]]
 
     def cycles(self, max_len: int):
-        """Primitive closed admissible words of length <= max_len, one per
-        rotation class.  These are exactly the periodic-orbit
-        representatives."""
-        found = []
-        seen = set()
-        for length in range(1, max_len + 1):
-            for w in sorted(self.language(length), key=self._sort_key):
-                if not self.has_edge(w[-1], w[0]):
-                    continue
-                rot = min(rotations(w), key=self._sort_key)
-                if rot in seen:
-                    continue
-                seen.add(rot)
-                if primitive_root(w) == w:
-                    found.append(w)
-        return found
+        """One representative per periodic orbit of least period <= max_len.
+
+        The representative is the least rotation of the orbit's primitive
+        closed word in label order, i.e. the closed walks that are Lyndon
+        words.  They are listed by length, and within a length in label
+        order.
+
+        The Lyndon walks are generated directly (Fredricksen-Kessler-
+        Maiorana / Duval): a depth-first search over walks whose every
+        prefix is a prenecklace.  A prenecklace w of period p extends by b
+        only when b >= w[len(w) - p]; equality keeps the period and a larger
+        b makes it len(w) + 1.  w is Lyndon exactly when p == len(w).
+        """
+        if max_len < 1:
+            return []
+        idx = self._index
+        # successors in descending index order: popped from the stack, they
+        # come out ascending, so each length is found in label order
+        down = [[idx[b] for b in reversed(self._out[v])] for v in self.labels]
+        closing = {(idx[a], idx[b]) for a, b in self.edges}
+        by_len = [[] for _ in range(max_len + 1)]
+        stack = [((s,), 1) for s in reversed(range(len(self.labels)))]
+        while stack:
+            w, p = stack.pop()
+            t = len(w)
+            if p == t and (w[-1], w[0]) in closing:
+                by_len[t].append(w)
+            if t < max_len:
+                floor = w[t - p]
+                for b in down[w[-1]]:
+                    if b >= floor:
+                        stack.append((w + (b,), p if b == floor else t + 1))
+        return [tuple(self.labels[i] for i in c)
+                for found in by_len for c in found]
 
     def simple_cycles(self, max_len=None):
         """Simple cycles (no repeated vertex) as vertex words, one per

@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
 from sftkit import (
     CylinderFunction,
     EvPerPoint,
+    full_shift,
+    golden_mean,
     orbit_sum,
     word,
 )
 from sftkit.errors import NotClosed, WordTooShort
+from sftkit.samples import random_presentation
 
 
 def test_eval_depth1(full2):
@@ -96,3 +101,41 @@ def test_refine_and_arithmetic(gm):
     assert (f + f) == g + f  # mixed depths refine to the larger one
     assert (f - f).min_value() == 0 and (f - f).max_value() == 0
     assert f == g  # equality compares as functions
+
+
+def _orbit_sum_by_positions(f, cycle):
+    """The reference: f on the window starting at each position of the
+    orbit, read cyclically."""
+    n = len(cycle)
+    return sum(f.value_on(tuple(cycle[(i + t) % n] for t in range(f.width())))
+               for i in range(n))
+
+
+def test_orbit_sum_matches_the_per_position_formula():
+    """Depth 0, depths below and above the cycle length, on full shifts,
+    the golden mean and seeded random presentations."""
+    rng = random.Random(3)
+    presentations = [full_shift(2), full_shift(3), golden_mean()] + [
+        random_presentation(random.Random(seed)) for seed in range(20)]
+    depths_seen = set()
+    for P in presentations:
+        for depth in range(0, 6):
+            if depth == 0:
+                f = CylinderFunction.constant(P, rng.randint(-3, 3))
+            else:
+                f = CylinderFunction(P, depth, {w: rng.randint(-3, 3)
+                                                for w in P.language(depth)})
+            for c in P.cycles(4):
+                assert orbit_sum(f, c) == _orbit_sum_by_positions(f, c)
+                depths_seen.add((depth == 0, depth > len(c)))
+    assert depths_seen == {(True, False), (False, False), (False, True)}
+
+
+def test_orbit_sum_rejects_open_words_at_every_depth(gm):
+    """Empty, inadmissible, unclosed and foreign words raise NotClosed
+    before any table is read."""
+    for f in (CylinderFunction.constant(gm, 1),
+              CylinderFunction.from_values(gm, {"00": 1, "01": 2, "10": 3})):
+        for w in ((), word("11"), word("1"), word("101"), (2,)):
+            with pytest.raises(NotClosed):
+                orbit_sum(f, w)

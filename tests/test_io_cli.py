@@ -147,6 +147,22 @@ def test_cli_move_and_groupoid_check(tree, capsys):
                  "--samples", "5"]) == 0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--vertex", "0"], "needs parts"),
+    (["--vertex", "7", "--parts", "0;1"], "7 is not a vertex index"),
+    (["--vertex", "0", "--parts", "0;9"], "9 is not a vertex index"),
+    (["--vertex", "-1", "--parts", "0;1"], "-1 is not a vertex index"),
+], ids=["no-parts", "vertex-out-of-range", "part-out-of-range",
+        "negative-vertex"])
+def test_cli_move_rejects_bad_input(tree, capsys, flags, message):
+    """Bad move input is an input error (exit 2), not a traceback."""
+    rc = main(["move", str(tree / "full2.sft"), "--kind", "out_split"]
+              + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_groupoid_check_fails_under_optimize(tree):
     """A broken cocycle law exits 1 even under python -O, which strips
     assert statements."""

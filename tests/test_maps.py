@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sftkit import (
@@ -9,12 +11,14 @@ from sftkit import (
     sliding_block_conjugacy,
     word,
 )
-from sftkit.errors import InvalidCode
+from sftkit.errors import InvalidCode, NeedDepth
 from sftkit.maps import (
+    PrefixExchangeStage,
     image_form,
     minimal_cocycle_on_cylinder,
     verify_cocycle_on_cylinder,
 )
+from sftkit.samples import random_prefix_exchange, random_split_conjugacy
 
 
 def test_prefix_exchange_point_examples(full2, std_exchange):
@@ -123,3 +127,65 @@ def test_verify_cocycle_detects_wrong_pair(full2, std_exchange):
 def test_identity_image_form(full2):
     S = image_form((), word("01"), full2)
     assert (S.prefix, S.chain, S.shift) == ((), (), 0)
+
+
+def _lookup_by_scan(st, sym):
+    """The reference lookup: compare the code words, shortest first, symbol
+    by symbol."""
+    for u in sorted(st.pairing, key=len):
+        if all(sym(i) == u[i] for i in range(len(u))):
+            return u
+    raise InvalidCode("no code word matches; code is not complete")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NeedDepth as e:
+        return ("NeedDepth", e.needed)
+
+
+def _random_maps():
+    rng = random.Random(20)
+    maps = [random_prefix_exchange(rng, P, expansions).forward
+            for P, expansions in [(full_shift(2), 2), (full_shift(3), 3),
+                                  (full_shift(4), 2), (golden_mean(), 2)]
+            for _ in range(3)]
+    for _ in range(2):
+        split = random_split_conjugacy(rng, full_shift(3), 2)
+        pe = random_prefix_exchange(rng, split.codomain, 2)
+        maps.append(split.compose(pe).forward)
+    return maps
+
+
+def test_lookup_matches_the_linear_scan():
+    """lookup finds the code word the scan finds and, when the accessor
+    runs out of symbols, needs the same one more symbol as the scan."""
+    for h in _random_maps():
+        for st in h.stages:
+            if not isinstance(st, PrefixExchangeStage):
+                continue
+            P = st.domain
+            for w in P.language(st.max_code_len + 1):
+                for known in range(len(w) + 1):
+                    def sym(i):
+                        if i >= known:
+                            raise NeedDepth(i + 1)
+                        return w[i]
+                    assert _outcome(st.lookup, sym) == \
+                        _outcome(_lookup_by_scan, st, sym)
+
+
+def test_image_form_needs_the_same_depth_as_the_linear_scan(monkeypatch):
+    """image_form over every cylinder of length 1-3 gives the same symbolic
+    image, or asks for the same longer cylinder, with either lookup."""
+    cases = []
+    for h in _random_maps():
+        for n in (1, 2, 3):
+            for base in sorted(h.domain.language(n), key=str):
+                cases.append((h.stages, base, h.domain))
+    got = [_outcome(image_form, *case) for case in cases]
+    monkeypatch.setattr(PrefixExchangeStage, "lookup", _lookup_by_scan)
+    want = [_outcome(image_form, *case) for case in cases]
+    assert got == want
+    assert any(isinstance(g, tuple) for g in got)

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from sftkit.errors import (
     NegativeShiftOneSided,
     NotPeriodic,
 )
-from sftkit.presentation import Presentation
+from sftkit.presentation import Presentation, rotations
 from sftkit.samples import random_presentation
 
 FULL2 = full_shift(2)
@@ -265,3 +266,40 @@ def test_one_sided_shift_is_additive(case, a, b):
 def test_tail_reads_word_range(bx, k):
     for i in range(-8, 9):
         assert bx.tail(i).symbols(k) == bx.word_range(i, i + k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_sided(), st.integers(0, 12))
+def test_one_sided_shift_equals_make_of_the_suffix(case, j):
+    """shift(j) builds the canonical point of the suffix from j without
+    make: it must equal make on a raw (prefix, cycle) of that suffix."""
+    P, prefix, cycle = case
+    m = max(j, len(prefix))
+    raw = prefix + cycle * ((m - len(prefix)) // len(cycle) + 2)
+    suffix = EvPerPoint.make(P, raw[j:m], raw[m:m + len(cycle)])
+    assert EvPerPoint.make(P, prefix, cycle).shift(j) == suffix
+
+
+def test_bipoint_boundary_push_within_fine_wilf_bound():
+    """With an empty middle and distinct primitive tails, make pushes the
+    boundary left exactly as far as lc^inf and rc^inf agree, which is
+    fewer than |lc| + |rc| - gcd symbols (Fine-Wilf)."""
+    P = full_shift(3)
+    cycles = P.cycles(5)
+    slack = []
+    for lc in cycles:
+        for c in cycles:
+            for rc in rotations(c):
+                if rc == lc:
+                    continue
+                p, q = len(lc), len(rc)
+                agree = 0
+                while lc[-1 - agree % p] == rc[-1 - agree % q]:
+                    agree += 1
+                slack.append(p + q - gcd(p, q) - agree)
+                bx = BiPoint.make(P, lc, (), rc)
+                assert bx.phase == agree and bx.middle == ()
+                assert bx.left_cycle[-1] != bx.right_cycle[-1]
+                n = p + q
+                assert bx.word_range(-n, n) == (lc * n)[-n:] + (rc * n)[:n]
+    assert min(slack) == 1  # the bound holds, and some pair is extremal

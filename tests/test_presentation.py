@@ -1,8 +1,17 @@
+import random
+
 import pytest
 
-from sftkit import build_presentation, from_forbidden_words, word
+from sftkit import build_presentation, from_forbidden_words, full_shift, word
+from sftkit import golden_mean
 from sftkit.errors import EmptyShift, SinkOrSourceAfterPruning, ZeroRowOrColumn
-from sftkit.presentation import higher_block
+from sftkit.presentation import (
+    Presentation,
+    higher_block,
+    primitive_root,
+    rotations,
+)
+from sftkit.samples import random_presentation
 
 
 def test_full_shift_accepted():
@@ -98,3 +107,51 @@ def test_cycles_are_rotation_free(gm):
     assert len(as_sets) == len(cyc)
     for c in cyc:
         assert gm.has_edge(c[-1], c[0])
+
+
+def _cycles_by_sorting(P, max_len):
+    """The reference enumeration: every closed admissible word of each
+    length in label order, kept when it is the first of its rotation class
+    and primitive."""
+    def key(w):
+        return tuple(P.index(s) for s in w)
+
+    found, seen = [], set()
+    for length in range(1, max_len + 1):
+        for w in sorted(P.language(length), key=key):
+            if not P.has_edge(w[-1], w[0]):
+                continue
+            rot = min(rotations(w), key=key)
+            if rot in seen:
+                continue
+            seen.add(rot)
+            if primitive_root(w) == w:
+                found.append(w)
+    return found
+
+
+def _strongly_connected(P):
+    def reach(step):
+        seen, stack = {P.labels[0]}, [P.labels[0]]
+        while stack:
+            for u in step(stack.pop()):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(P.labels)
+    return reach(P.out_neighbors) and reach(P.in_neighbors)
+
+
+def test_cycles_equal_the_sorted_rotation_enumeration():
+    """cycles() lists the same words in the same order as sorting every
+    closed word and keeping the least primitive rotation of each class."""
+    named = [full_shift(2), full_shift(3), full_shift(4), golden_mean(),
+             full_shift(3, labels="cab"),
+             Presentation("xyz", [("x", "y"), ("y", "z"), ("z", "x"),
+                                  ("y", "y"), ("z", "z")])]
+    seeded = [random_presentation(random.Random(seed)) for seed in range(200)]
+    assert sum(not _strongly_connected(P) for P in seeded) >= 20
+    for P in named + seeded:
+        for max_len in range(0, 7):
+            assert P.cycles(max_len) == _cycles_by_sorting(P, max_len), \
+                (P.labels, sorted(P.edges), max_len)
