@@ -12,6 +12,7 @@ from fractions import Fraction
 from sftkit import (
     BiPoint,
     OrbitEquivalence,
+    Presentation,
     SuspensionPoint,
     bold_varphi,
     coe_to_flow_pipeline,
@@ -39,8 +40,19 @@ for w in sorted(pair.k.table):
 
 report = verify_coe(h, pair, derive_cocycle_pair(h.inverse()))
 print("both identities verified:", report.verified)
-print("least periods preserved on", report.lp_checked_cycles, "orbits:",
-      report.least_period_preserving)
+print("least periods preserved, for every period:",
+      report.least_period_preserving,
+      f"({report.lp_checked_cycles} poor orbits checked directly)")
+
+# on a reducible shift the isolated loops are the poor orbits
+Q = Presentation(["a", "b"], [("a", "a"), ("a", "b"), ("b", "b")])
+g = OrbitEquivalence(prefix_exchange(Q, {word("aa"): word("aa"),
+                                         word("ab"): word("b"),
+                                         word("b"): word("ab")}))
+report = verify_coe(g, derive_cocycle_pair(g),
+                    derive_cocycle_pair(g.inverse()))
+print("a-loop into b-loop: poor orbits", Q.poor_cycles(),
+      "least periods preserved:", report.least_period_preserving)
 
 print()
 print("-- the assembled data")

@@ -128,15 +128,6 @@ class Tower:
                 f"{q}, {rt} steps after {p}, is not in the cross section")
         return q, rt
 
-    def conjugacy_from_base(self) -> "maps.PointMap":
-        """iota at floor 0 is not shift-commuting, but the tower admits a
-        block conjugacy with the higher-block recoding of the base when
-        f == 1; exposed for the trivial-tower tests."""
-        if self.floors.max_value() != 1:
-            raise ValueError("only the trivial tower is a conjugacy")
-        mapping = {v: (v, 0) for v in self.base.labels}
-        return maps.relabel_map(self.base, self.presentation, mapping)
-
 
 # ---------------------------------------------------------------------------
 # invariants: Smith normal form and determinant of I - A over the integers

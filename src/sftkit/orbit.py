@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cohomology import decompose_positive, solve_coboundary
+from .cohomology import (
+    NegativeCycleWitness,
+    class_is_positive,
+    decompose_positive,
+    solve_coboundary,
+)
 from .cylinders import CylinderFunction, orbit_sum
 from .errors import (
     DepthExceeded,
@@ -35,13 +40,12 @@ class OrbitEquivalence:
     eventually periodic completions of every cylinder at the map's own
     resolution."""
 
-    def __init__(self, forward: PointMap, check_depth=None):
+    def __init__(self, forward: PointMap):
         self.forward = forward
         self.backward = forward.inverse()
         self.domain = forward.domain
         self.codomain = forward.codomain
-        d = check_depth if check_depth is not None else max(
-            forward.prefix_needed(1), 2)
+        d = max(forward.prefix_needed(1), 2)
         for P, f, g in [(self.domain, self.forward, self.backward),
                         (self.codomain, self.backward, self.forward)]:
             for w in P.sorted_words(P.language(d)):
@@ -90,7 +94,7 @@ class COEReport:
     verified: bool
     depth: int
     failures: list = field(default_factory=list)
-    least_period_preserving: bool = True
+    least_period_preserving: bool = False
     lp_witnesses: list = field(default_factory=list)
     lp_checked_cycles: int = 0
     scoe_transfer: object = None
@@ -177,43 +181,69 @@ def _counterexample(P, pm: PointMap, w, k, l):
 
 
 def verify_coe(h: OrbitEquivalence, pair: CocyclePair, pair_prime: CocyclePair,
-               max_cycle_len: int = 6, scoe_depth=None) -> COEReport:
-    """Exhaustive symbolic verification of both cocycle identities, plus
-    the least-period bookkeeping and optional strong-equivalence search."""
+               scoe_depth=None) -> COEReport:
+    """Exhaustive symbolic verification of both cocycle identities, the
+    least-period verdict for every period, and the optional
+    strong-equivalence search.
+
+    The verdict needs only the poor orbits (Presentation.poor_cycles) and
+    the sign of l - k.  Let x have least period p, S be the (l - k) sum over
+    its orbit and q = lp(h(x)).
+    (i)   The pairs induce groupoid homomorphisms Phi, Phi' with
+          Phi(x, 1, sigma x) = (h x, l(x) - k(x), h sigma x) and
+          Phi' Phi(x, 1, sigma x) = (x, g(x), sigma x), g locally constant.
+    (ii)  Phi(x, p, x) = (h x, S, h x) is c times (h x, q, h x), which
+          generates the isotropy at h x, and Phi' maps that to c' (x, p, x):
+          so S = c q and c c' p is the sum of g over the orbit of x.
+    (iii) A point that is not eventually periodic has one lag to its shift,
+          so g = 1 there and on the closure of such points, which holds x
+          unless x is on a poor orbit.  Then c c' = 1 and S = +-q.
+    (iv)  The poor orbits, at most one per vertex, are checked directly.
+          Every other orbit passes if l - k is a positive class; if not,
+          the negative cycle of class_is_positive is an orbit with
+          S < 0 < q, reported as (x, lp(h(x)), S).
+    Both identities are premises: when one fails the verdict is not
+    established, least_period_preserving is False with no witness and no
+    orbit checked.
+    """
     failures = _verify_pair_on(h.domain, h.forward, pair)
     failures += [(w, f"[inverse] {r}", c) for (w, r, c) in
                  _verify_pair_on(h.codomain, h.backward, pair_prime)]
     report = COEReport(verified=not failures,
                        depth=max(pair.depth, pair_prime.depth),
                        failures=failures)
-    ok, witnesses, checked = check_least_period_preserving(
-        h, pair, max_cycle_len, with_count=True)
-    report.least_period_preserving = ok
-    report.lp_witnesses = witnesses
-    report.lp_checked_cycles = checked
+    if report.verified:
+        P = h.domain
+        poor = P.poor_cycles()
+        ok, witnesses = check_least_period_preserving(h, pair, poor)
+        res = class_is_positive(P, pair.difference())
+        if isinstance(res, NegativeCycleWitness):
+            x = EvPerPoint.make(P, (), tuple(a.tag[0] for a in res.cycle))
+            if all(x != w[0] for w in witnesses):
+                witnesses.append((x, h(x).least_period(), res.total))
+            ok = False
+        report.least_period_preserving = ok
+        report.lp_witnesses = witnesses
+        report.lp_checked_cycles = len(poor)
     if scoe_depth is not None:
         report.scoe_transfer = find_scoe_transfer(h, pair, scoe_depth)
     return report
 
 
 def check_least_period_preserving(h: OrbitEquivalence, pair: CocyclePair,
-                                  max_cycle_len: int = 6, with_count=False):
-    """Compare lp(h(x)) with the (l - k) orbit sum on every periodic orbit
-    of cycle length <= max_cycle_len (one representative per orbit)."""
+                                  cycles):
+    """Compare lp(h(x)) with the (l - k) orbit sum on the periodic orbits
+    given by their cycle words; (ok, [(x, lp(h(x)), sum), ...])."""
     P = h.domain
     diff = pair.difference()
     witnesses = []
-    cycles = P.cycles(max_cycle_len)
     for c in cycles:
         x = EvPerPoint.make(P, (), c)
         want = h(x).least_period()
         got = orbit_sum(diff, c)
         if want != got:
             witnesses.append((x, want, got))
-    ok = not witnesses
-    if with_count:
-        return ok, witnesses, len(cycles)
-    return ok, witnesses
+    return not witnesses, witnesses
 
 
 def find_scoe_transfer(h: OrbitEquivalence, pair: CocyclePair,
@@ -228,31 +258,25 @@ def find_scoe_transfer(h: OrbitEquivalence, pair: CocyclePair,
 
 
 def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
-                         max_cycle_len: int = 6, scoe: bool = False,
-                         scoe_depth: int = 8,
-                         repair_lp: bool = False) -> FlowMapData:
+                         scoe: bool = False,
+                         scoe_depth: int = 8) -> FlowMapData:
     """Derive, verify, decompose: the executable route from an orbit
     equivalence to flow-map data.
 
     Raises DepthExceeded when derivation stalls, LeastPeriodViolation when
-    the derived pairs fail the period bookkeeping (a repair search can be
-    enabled), and NotPositiveClass if the class of l - k is not positive,
-    which would contradict the existence theorem and is surfaced loudly.
+    the derived pair does not preserve least periods (a class of l - k that
+    is not positive included), and NotPositiveClass if the class of
+    l' - k' is not positive, which would contradict the existence theorem
+    and is surfaced loudly.
     """
     pair = derive_cocycle_pair(h, max_depth)
     pair_prime = derive_cocycle_pair(h.inverse(), max_depth)
-    report = verify_coe(h, pair, pair_prime, max_cycle_len)
+    report = verify_coe(h, pair, pair_prime)
     if not report.verified:
         raise VerificationFailed(
             f"derived pair failed its own verification: {report.failures[:2]}")
     if not report.least_period_preserving:
-        if repair_lp:
-            repaired = _repair_pair(h, pair, max_cycle_len)
-            if repaired is None:
-                raise LeastPeriodViolation(report.lp_witnesses)
-            pair = repaired
-        else:
-            raise LeastPeriodViolation(report.lp_witnesses)
+        raise LeastPeriodViolation(report.lp_witnesses)
 
     shift_c = [0, 0]
     n = b = n_p = b_p = None
@@ -283,43 +307,3 @@ def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
     return FlowMapData(h.forward, pair.k, pair.l, pair_prime.k, pair_prime.l,
                        b, b_p, n, n_p, tuple(shift_c))
 
-
-def _repair_pair(h: OrbitEquivalence, pair: CocyclePair, max_cycle_len,
-                 max_bump: int = 3):
-    """Best-effort search for a least-period preserving pair.
-
-    One cylinder at a time, (k, l) is bumped by independent increments and
-    the identity re-checked pointwise on eventually periodic completions;
-    the symbolic comparison is conservative on shifts with isolated points,
-    which is exactly where an alternative pair can exist.
-    """
-    P = h.domain
-    d = pair.depth
-    words = P.sorted_words(P.language(max(d, 1)))
-
-    def pointwise_ok(cand):
-        for w in words:
-            pre, cyc = P.complete_to_cycle_word(w)
-            x = EvPerPoint.make(P, pre, cyc)
-            if h(x.shift(1)).shift(cand.k.value_on(w)) != \
-                    h(x).shift(cand.l.value_on(w)):
-                return False
-        return True
-
-    for ck in range(max_bump + 1):
-        for cl in range(max_bump + 1):
-            if ck == cl:
-                continue
-            for target in words:
-                ktab = {w: pair.k.value_on(w) + (ck if w == target else 0)
-                        for w in words}
-                ltab = {w: pair.l.value_on(w) + (cl if w == target else 0)
-                        for w in words}
-                cand = CocyclePair(CylinderFunction(P, d, ktab),
-                                   CylinderFunction(P, d, ltab))
-                if not pointwise_ok(cand):
-                    continue
-                ok, _ = check_least_period_preserving(h, cand, max_cycle_len)
-                if ok:
-                    return cand
-    return None

@@ -164,6 +164,41 @@ class Presentation:
         return [tuple(self.labels[i] for i in c)
                 for found in by_len for c in found]
 
+    def reachable(self, v):
+        """Vertices at the end of some walk of length >= 1 from `v`."""
+        seen = set()
+        stack = [v]
+        while stack:
+            for b in self._out[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return seen
+
+    def poor_cycles(self):
+        """The cycle of each strongly connected component that is a single
+        cycle and reaches only such components, as cycles() lists them.
+
+        These are the periodic orbits that no non-eventually-periodic point
+        comes arbitrarily close to: a walk ends in one component, and only
+        one that is not a single cycle lets it avoid periodicity."""
+        reach = {v: self.reachable(v) for v in self.labels}
+        # for a vertex on a cycle: its successors within its own component,
+        # exactly one for every vertex of a single-cycle component
+        inner = {v: [b for b in self._out[v] if v in reach[b]]
+                 for v in self.labels if v in reach[v]}
+        found = []
+        for v in inner:
+            if any(len(inner[u]) != 1 for u in reach[v] if u in inner):
+                continue
+            c = [v]
+            while inner[c[-1]][0] != v:
+                c.append(inner[c[-1]][0])
+            # a cycle through distinct vertices is least from its least one
+            if min(c, key=self._index.__getitem__) == v:
+                found.append(tuple(c))
+        return sorted(found, key=len)
+
     def simple_cycles(self, max_len=None):
         """Simple cycles (no repeated vertex) as vertex words, one per
         rotation class."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .cylinders import CylinderFunction
-from .errors import ZeroRowOrColumn
+from .errors import InvalidCode, ZeroRowOrColumn
 from .flow import out_split_conjugacy
 from .maps import prefix_exchange
 from .orbit import OrbitEquivalence
@@ -77,18 +77,6 @@ def _path_to(P, a, b, rng):
     raise ValueError(f"no path {a!r} -> {b!r}")
 
 
-def _reach(P, a):
-    """Vertices at the end of some walk of length >= 1 from `a`."""
-    seen = set()
-    stack = [a]
-    while stack:
-        for u in P.out_neighbors(stack.pop()):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
 def random_bipoint(rng: random.Random, P: Presentation, max_cycle=4,
                    max_middle=3, periodic_bias=0.4) -> BiPoint:
     """A random two-sided point lc^inf . mid . rc^inf (see random_bipoints)."""
@@ -113,14 +101,14 @@ def random_bipoints(rng: random.Random, P: Presentation, count, max_cycle=4,
         if rng.random() < periodic_bias:
             out.append(BiPoint.periodic(P, lc, rng.randint(-2, 2)))
             continue
-        ahead = _reach(P, lc[-1])
+        ahead = P.reachable(lc[-1])
         rc = rng.choice([c for c in cycles if c[0] in ahead])
         # connect lc's end to rc's start, optionally detouring once
         mid = _path_to(P, lc[-1], rc[0], rng)[:-1]
         if rng.random() < 0.5 and max_middle:
             last = mid[-1] if mid else lc[-1]
             ext = rng.choice([u for u in P.out_neighbors(last)
-                              if rc[0] in _reach(P, u)])
+                              if rc[0] in P.reachable(u)])
             mid = mid + (ext,) + _path_to(P, ext, rc[0], rng)[:-1]
         out.append(BiPoint.make(P, lc, mid, rc, rng.randint(-3, 3)))
     return out
@@ -128,8 +116,8 @@ def random_bipoints(rng: random.Random, P: Presentation, count, max_cycle=4,
 
 def random_complete_prefix_code(rng: random.Random, P: Presentation,
                                 expansions=2):
-    """A complete prefix code on a full shift: start from the length-one
-    words and repeatedly expand a random leaf into its extensions."""
+    """A complete prefix code: start from the length-one words and
+    repeatedly expand a random leaf into its extensions."""
     code = [(v,) for v in P.labels]
     for _ in range(expansions):
         leaf = code.pop(rng.randrange(len(code)))
@@ -139,12 +127,14 @@ def random_complete_prefix_code(rng: random.Random, P: Presentation,
 
 def random_prefix_exchange(rng: random.Random, P: Presentation,
                            expansions=2) -> OrbitEquivalence:
-    """A random prefix exchange on a full shift.
+    """A random prefix exchange that is not the identity.
 
     Code words are permuted within groups of equal terminal vertex, which
-    keeps the follower data matched.
+    keeps the follower data matched.  A draw that pairs every word with
+    itself is redrawn, up to 100 times before InvalidCode: on the 2-cycle
+    0 -> 1 -> 0, two expansions leave no two code words ending alike.
     """
-    while True:
+    for _ in range(100):
         code = random_complete_prefix_code(rng, P, expansions)
         groups = {}
         for u in code:
@@ -154,9 +144,9 @@ def random_prefix_exchange(rng: random.Random, P: Presentation,
             img = g[:]
             rng.shuffle(img)
             pairing.update(dict(zip(g, img)))
-        if all(u == v for u, v in pairing.items()):
-            continue  # resample: the identity exchange is uninformative
-        return OrbitEquivalence(prefix_exchange(P, pairing))
+        if any(u != v for u, v in pairing.items()):
+            return OrbitEquivalence(prefix_exchange(P, pairing))
+    raise InvalidCode("no non-identity prefix exchange in 100 draws")
 
 
 def random_split_conjugacy(rng: random.Random, P: Presentation,

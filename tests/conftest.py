@@ -31,3 +31,25 @@ def std_exchange(full2):
     return prefix_exchange(full2, {word("0"): word("10"),
                                    word("10"): word("0"),
                                    word("11"): word("11")})
+
+
+@pytest.fixture
+def loop_into_loop():
+    """a -> a, a -> b, b -> b: a loop leading into an isolated loop, the
+    countable shift {a^n b^inf} plus a^inf."""
+    return Presentation(["a", "b"], [("a", "a"), ("a", "b"), ("b", "b")])
+
+
+@pytest.fixture
+def rich_into_permutation():
+    """The full 2-shift on {0, 1} leading into the permutation component
+    2 -> 3 -> 4 -> 2."""
+    return Presentation(range(5), [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2),
+                                   (2, 3), (3, 4), (4, 2)])
+
+
+@pytest.fixture
+def two_rich_components():
+    """Full 2-shifts on {0, 1} and on {2, 3}, joined by the arc 1 -> 2."""
+    return Presentation(range(4), [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2),
+                                   (2, 2), (2, 3), (3, 2), (3, 3)])

@@ -286,7 +286,7 @@ def test_criterion_7_coe_verification():
     for h in hs:
         pair = derive_cocycle_pair(h)
         pair_p = derive_cocycle_pair(h.inverse())
-        rep = verify_coe(h, pair, pair_p, max_cycle_len=6)
+        rep = verify_coe(h, pair, pair_p)
         assert rep.verified, rep.failures[:3]
         assert rep.least_period_preserving, rep.lp_witnesses[:3]
     pair = derive_cocycle_pair(std)

@@ -163,6 +163,17 @@ def test_cli_move_rejects_bad_input(tree, capsys, flags, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("verb, flags", [
+    ("move", ["--kind", "out_split", "--vertex", "0", "--parts", "0;1"]),
+    ("tower", ["--f", "const:2"]),
+])
+def test_cli_out_to_a_directory_is_an_input_error(tree, capsys, verb, flags):
+    rc = main([verb, str(tree / "full2.sft")] + flags + ["--out", str(tree)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 def test_groupoid_check_fails_under_optimize(tree):
     """A broken cocycle law exits 1 even under python -O, which strips
     assert statements."""

@@ -17,11 +17,12 @@ from sftkit import (
     verify_coe,
     word,
 )
-from sftkit.errors import LeastPeriodViolation
+from sftkit.errors import InvalidCode, LeastPeriodViolation
 from sftkit.orbit import CocyclePair
 from sftkit.samples import (
     random_bipoint,
     random_prefix_exchange,
+    random_presentation,
     random_split_conjugacy,
 )
 
@@ -93,7 +94,8 @@ def test_verify_detects_corrupted_l(std_oe, full2):
 
 def test_least_period_preserving_values(std_oe, full2):
     pair = derive_cocycle_pair(std_oe)
-    ok, witnesses = check_least_period_preserving(std_oe, pair, 6)
+    ok, witnesses = check_least_period_preserving(std_oe, pair,
+                                                  full2.cycles(6))
     assert ok and not witnesses
     diff = pair.difference()
     assert orbit_sum(diff, word("0")) == 1
@@ -109,7 +111,8 @@ def test_least_period_fault_injection(std_oe, full2):
     ktab[word("000")] = ltab[word("000")] = 0
     bumped = CocyclePair(CylinderFunction(full2, pair.depth, ktab),
                          CylinderFunction(full2, pair.depth, ltab))
-    ok, witnesses = check_least_period_preserving(std_oe, bumped, 4)
+    ok, witnesses = check_least_period_preserving(std_oe, bumped,
+                                                  full2.cycles(4))
     assert not ok
     points = [w[0] for w in witnesses]
     fixed = EvPerPoint.make(full2, (), (0,))
@@ -183,9 +186,8 @@ def test_pipeline_rejects_lp_violation(std_oe, full2, monkeypatch):
     import sftkit.orbit as orbit_mod
     fixed = EvPerPoint.make(full2, (), (0,))
 
-    def fake_check(h, pair, max_cycle_len, with_count=False):
-        witnesses = [(fixed, 1, 0)]
-        return (False, witnesses, 1) if with_count else (False, witnesses)
+    def fake_check(h, pair, cycles):
+        return False, [(fixed, 1, 0)]
 
     monkeypatch.setattr(orbit_mod, "check_least_period_preserving", fake_check)
     with pytest.raises(LeastPeriodViolation):
@@ -248,3 +250,100 @@ def test_random_prefix_exchanges_verify(full2, full3):
             rep = verify_coe(h, pair, pair_p)
             assert rep.verified
             assert rep.least_period_preserving
+
+
+def test_least_period_verdict_matches_the_bounded_oracle(monkeypatch):
+    """On general presentations (reducible ones and isolated periodic
+    points included), verify_coe's verdict for every period agrees with a
+    direct check of every orbit of length <= 8, and it evaluates exactly
+    the poor orbits."""
+    import sftkit.orbit as orbit_mod
+    check = orbit_mod.check_least_period_preserving
+    evaluated = []
+
+    def spy(h, pair, cycles):
+        evaluated.append(cycles)
+        return check(h, pair, cycles)
+
+    monkeypatch.setattr(orbit_mod, "check_least_period_preserving", spy)
+    rng = random.Random(7)
+    maps = with_poor = 0
+    while maps < 300:
+        P = random_presentation(rng, 4)
+        if rng.random() < 0.7:
+            try:
+                h = random_prefix_exchange(rng, P)
+            except InvalidCode:
+                continue  # no non-identity exchange in 100 draws
+        else:
+            h = random_split_conjugacy(rng, P, 2)
+        pair = derive_cocycle_pair(h)
+        evaluated.clear()
+        rep = verify_coe(h, pair, derive_cocycle_pair(h.inverse()))
+        assert rep.verified
+        assert evaluated == [h.domain.poor_cycles()]
+        assert rep.lp_checked_cycles == len(evaluated[0])
+        ok, witnesses = check(h, pair, h.domain.cycles(8))
+        assert rep.least_period_preserving == ok, (h.forward, witnesses)
+        maps += 1
+        with_poor += rep.lp_checked_cycles > 0
+    assert with_poor >= 50
+
+
+def test_general_fixtures_preserve_least_periods(loop_into_loop,
+                                                 rich_into_permutation,
+                                                 two_rich_components):
+    rng = random.Random(4)
+    for P in (loop_into_loop, rich_into_permutation, two_rich_components):
+        for h in (random_prefix_exchange(rng, P),
+                  random_split_conjugacy(rng, P, 2)):
+            pair = derive_cocycle_pair(h)
+            rep = verify_coe(h, pair, derive_cocycle_pair(h.inverse()))
+            assert rep.verified and rep.least_period_preserving
+            assert rep.lp_checked_cycles == len(h.domain.poor_cycles())
+            D = coe_to_flow_pipeline(h)
+            assert D.n.is_nonnegative()
+
+
+def test_poor_orbit_fault_is_reported(loop_into_loop):
+    # raising l by one on Z(b) lifts the orbit sum of the isolated fixed
+    # point b^inf to 2 while lp(h(b^inf)) stays 1
+    P = loop_into_loop
+    h = random_prefix_exchange(random.Random(2), P)
+    pair = derive_cocycle_pair(h)
+    pair_p = derive_cocycle_pair(h.inverse())
+    assert verify_coe(h, pair, pair_p).least_period_preserving
+    ltab = {w: v + (w[0] == "b") for w, v in pair.l.table.items()}
+    bumped = CocyclePair(pair.k, CylinderFunction(P, pair.depth, ltab))
+    ok, witnesses = check_least_period_preserving(h, bumped, P.poor_cycles())
+    assert not ok
+    assert [(str(x), want, got) for x, want, got in witnesses] == \
+        [("/b", 1, 2)]
+    # the symbolic identity check rejects the bumped pair, so verify_coe
+    # establishes no verdict at all
+    rep = verify_coe(h, bumped, pair_p)
+    assert not rep.verified
+    assert not rep.least_period_preserving and not rep.lp_witnesses
+
+
+def test_failed_identity_leaves_the_verdict_unestablished(std_oe, full2):
+    pair = derive_cocycle_pair(std_oe)
+    corrupted = CocyclePair(pair.k, pair.l + 1)
+    rep = verify_coe(std_oe, corrupted, derive_cocycle_pair(std_oe.inverse()))
+    assert not rep.verified
+    assert not rep.least_period_preserving
+    assert rep.lp_witnesses == [] and rep.lp_checked_cycles == 0
+
+
+def test_negative_class_is_the_lp_witness(full2, monkeypatch):
+    # the identity map with (k, l) = (0, 1) on Z(0) and (2, 1) on Z(1):
+    # with the identities taken as verified, l - k sums to -1 on 1^inf
+    import sftkit.orbit as orbit_mod
+    monkeypatch.setattr(orbit_mod, "_verify_pair_on", lambda *args: [])
+    h = OrbitEquivalence(identity_map(full2))
+    k = CylinderFunction.from_values(full2, {"0": 0, "1": 2})
+    l = CylinderFunction.constant(full2, 1).refine(1)
+    rep = verify_coe(h, CocyclePair(k, l), CocyclePair(k, l))
+    assert rep.verified and rep.lp_checked_cycles == 0
+    assert not rep.least_period_preserving
+    assert rep.lp_witnesses == [(EvPerPoint.make(full2, (), (1,)), 1, -1)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -155,3 +156,49 @@ def test_cycles_equal_the_sorted_rotation_enumeration():
         for max_len in range(0, 7):
             assert P.cycles(max_len) == _cycles_by_sorting(P, max_len), \
                 (P.labels, sorted(P.edges), max_len)
+
+
+def test_poor_cycles_of_general_presentations(loop_into_loop,
+                                              rich_into_permutation,
+                                              two_rich_components, full2, gm):
+    assert loop_into_loop.poor_cycles() == [("a",), ("b",)]
+    assert rich_into_permutation.poor_cycles() == [(2, 3, 4)]
+    assert two_rich_components.poor_cycles() == []
+    assert full2.poor_cycles() == gm.poor_cycles() == []
+    # a permutation component that leads into a rich one is not poor
+    exits = Presentation(range(5), [(0, 1), (1, 2), (2, 0), (2, 3),
+                                    (3, 3), (3, 4), (4, 3)])
+    assert exits.poor_cycles() == []
+    # each cycle starts at its least vertex in label order; shorter first
+    perm = Presentation("cabd", [("c", "a"), ("a", "b"), ("b", "c"),
+                                 ("d", "d")])
+    assert perm.poor_cycles() == [("d",), ("c", "a", "b")]
+
+
+def _poor_by_simple_cycles(P):
+    """Simple cycles whose reachable simple cycles are pairwise disjoint:
+    two simple cycles through one vertex make a component that is not a
+    single cycle."""
+    simple = P.simple_cycles()
+    poor = set()
+    for c in simple:
+        ahead = P.reachable(c[0])
+        near = [set(d) for d in simple if ahead & set(d)]
+        if all(not d & e for d, e in itertools.combinations(near, 2)):
+            poor.add(min(rotations(c), key=lambda w: [P.index(s) for s in w]))
+    return poor
+
+
+def test_poor_cycles_equal_the_disjoint_simple_cycle_definition(
+        loop_into_loop, rich_into_permutation, two_rich_components):
+    rng = random.Random(31)
+    presentations = [loop_into_loop, rich_into_permutation,
+                     two_rich_components, full_shift(3), golden_mean()]
+    presentations += [random_presentation(rng, 5) for _ in range(300)]
+    with_poor = 0
+    for P in presentations:
+        poor = _poor_by_simple_cycles(P)
+        assert P.poor_cycles() == [c for c in P.cycles(P.vertex_count)
+                                   if c in poor]
+        with_poor += bool(poor)
+    assert with_poor >= 50

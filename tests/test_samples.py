@@ -1,7 +1,15 @@
 import random
 
+import pytest
+
+from sftkit.errors import InvalidCode
+from sftkit.points import EvPerPoint
 from sftkit.presentation import Presentation, full_shift, golden_mean
-from sftkit.samples import random_bipoint, random_bipoints
+from sftkit.samples import (
+    random_bipoint,
+    random_bipoints,
+    random_prefix_exchange,
+)
 
 
 def test_random_bipoint_on_reducible_presentation():
@@ -26,3 +34,19 @@ def test_random_bipoints_draws_as_repeated_random_bipoint(monkeypatch):
         assert random_bipoints(many, P, 40) == \
             [random_bipoint(one, P) for _ in range(40)]
         assert len(listed) == 1 + 40
+
+
+def test_random_prefix_exchange_without_a_nontrivial_pairing_raises():
+    # with two expansions on 0 -> 1 -> 0 no two code words end alike
+    P = Presentation([0, 1], [(0, 1), (1, 0)])
+    with pytest.raises(InvalidCode):
+        random_prefix_exchange(random.Random(0), P)
+
+
+def test_random_prefix_exchange_on_loop_into_loop(loop_into_loop):
+    P = loop_into_loop
+    for seed in range(5):
+        h = random_prefix_exchange(random.Random(seed), P)
+        points = [EvPerPoint.make(P, *P.complete_to_cycle_word(w))
+                  for w in P.language(4)]
+        assert any(h(x) != x for x in points)
