@@ -68,7 +68,7 @@ def cmd_invariants(args):
 
 def cmd_language(args):
     P = sio.read_presentation(args.sft)
-    words = P.sorted_words(P.language(args.m))
+    words = P.words(args.m)
     _emit(args, {"m": args.m, "words": [sio.format_word(P, w) for w in words]},
           [sio.format_word(P, w) for w in words])
     return OK

@@ -77,15 +77,28 @@ class PositivityCertificate:
         n, b = self.nonneg, self.witness_b
         return n.is_nonnegative() and (n + b.coboundary()) == f
 
+    def lifted(self, lower=0):
+        """The pair (n, b) with b shifted by a constant so that b >= lower
+        pointwise; a constant shift does not disturb the identity.
+
+        `lower` may be an int or a CylinderFunction."""
+        n, b = self.nonneg, self.witness_b
+        if isinstance(lower, int):
+            lower = CylinderFunction.constant(b.presentation, lower)
+        gap = (lower - b).max_value()
+        if gap > 0:
+            b = b + gap
+        return n, b
+
 
 def transition_graph(P: Presentation, f: CylinderFunction) -> WeightedTransitionGraph:
     """Nodes are the m-blocks, arcs the (m+1)-blocks weighted by f, where
     m = max(depth(f) - 1, 1)."""
     m = max(f.depth - 1, 1)
     g = f.refine(m + 1)
-    nodes = P.sorted_words(P.language(m))
+    nodes = P.words(m)
     arcs = [Arc(w[:m], w[1:], g.table[w], w)
-            for w in P.sorted_words(P.language(m + 1))]
+            for w in P.words(m + 1)]
     return WeightedTransitionGraph(nodes, arcs)
 
 
@@ -94,14 +107,32 @@ def find_potential(W: WeightedTransitionGraph):
     every arc, or a negative-cycle witness; exactly one of the two.
 
     Bellman-Ford from a virtual source with zero arcs to every node; the
-    distances are the potential.  An arc that still relaxes after |nodes|
-    rounds lies on a walk into a negative cycle, recovered through the
-    predecessor links and then verified by substitution.
+    distances are the potential.  After every round that changed a
+    distance, the predecessor links are walked from every node, each walk
+    marking the nodes it visits with its root, in O(|nodes|).  A walk that
+    comes back to a node it marked itself closes a cycle of the predecessor
+    graph, and the search stops there.
+
+    Any predecessor cycle is negative.  When pred[v] = (u, v) is set, dist[v]
+    becomes dist[u] + weight, and afterwards dist[u] can only drop, so every
+    predecessor arc has  weight <= dist[v] - dist[u].  Just before the last
+    arc of a cycle was set, it relaxed:  weight < dist[v] - dist[u].  Summed
+    over the cycle, the right-hand sides telescope to 0, so the total is
+    negative.  The witness is still verified by substitution.
+
+    At most |nodes| + 1 rounds run; only a graph without nodes needs the
+    last.  Without a negative cycle the distances are final after
+    |nodes| - 1 rounds, so round |nodes| at the latest changes nothing and
+    the potential is returned.  With one, the predecessor graph has a cycle
+    after round |nodes|: were it acyclic, each dist[v] would be at least
+    the weight of v's predecessor path, a simple path of fewer than |nodes|
+    arcs, and at most the least weight of a walk of at most |nodes| arcs
+    into v.  Walks of |nodes| arcs would then gain nothing over shorter
+    ones, which holds only when no cycle is negative.
     """
     dist = {v: 0 for v in W.nodes}
     pred = {v: None for v in W.nodes}
-    n = len(W.nodes)
-    for _ in range(n):
+    for _ in range(len(W.nodes) + 1):
         changed = False
         for a in W.arcs:
             d = dist[a.source] + a.weight
@@ -111,34 +142,41 @@ def find_potential(W: WeightedTransitionGraph):
                 changed = True
         if not changed:
             return Potential(dict(dist))
-    # one more full update round; anything that still relaxes hangs off a
-    # negative cycle of the predecessor graph
-    touched = None
-    for a in W.arcs:
-        d = dist[a.source] + a.weight
-        if d < dist[a.target]:
-            dist[a.target] = d
-            pred[a.target] = a
-            touched = a.target
-    if touched is None:
-        return Potential(dict(dist))
-    v = touched
-    for _ in range(n + 1):
-        v = pred[v].source
-    cycle = []
-    u = v
-    while True:
-        arc = pred[u]
-        cycle.append(arc)
-        u = arc.source
-        if u == v:
-            break
-    cycle.reverse()
-    total = sum(c.weight for c in cycle)
-    witness = NegativeCycleWitness(tuple(cycle), total)
-    if not witness.verify():
-        raise VerificationFailed("negative-cycle reconstruction failed")
-    return witness
+        cycle = _predecessor_cycle(pred)
+        if cycle is not None:
+            witness = NegativeCycleWitness(cycle, sum(a.weight for a in cycle))
+            if not witness.verify():
+                raise VerificationFailed(
+                    "negative-cycle reconstruction failed")
+            return witness
+    raise VerificationFailed("Bellman-Ford found neither a potential nor a "
+                             "negative cycle")
+
+
+def _predecessor_cycle(pred):
+    """The arcs of a cycle of the predecessor graph, in walk order, or None."""
+    root_of = {}
+    for root in pred:
+        v = root
+        while v not in root_of:
+            root_of[v] = root
+            arc = pred[v]
+            if arc is None:
+                break
+            v = arc.source
+        else:
+            if root_of[v] == root:
+                cycle = []
+                u = v
+                while True:
+                    arc = pred[u]
+                    cycle.append(arc)
+                    u = arc.source
+                    if u == v:
+                        break
+                cycle.reverse()
+                return tuple(cycle)
+    return None
 
 
 def class_is_positive(P: Presentation, f: CylinderFunction):
@@ -194,22 +232,15 @@ def positive_on_cycles(P: Presentation, f: CylinderFunction) -> bool:
 
 
 def decompose_positive(P: Presentation, f: CylinderFunction, lower=0):
-    """The certificate pair (n, b) with b lifted above a lower bound.
+    """The certificate pair (n, b) with b lifted above a lower bound, as
+    PositivityCertificate.lifted gives it.
 
-    `lower` may be an int or a CylinderFunction; b is shifted by a constant
-    so that b >= lower pointwise (a constant shift does not disturb the
-    identity).  Raises NotPositiveClass when [f] is not positive.
+    Raises NotPositiveClass when [f] is not positive.
     """
     res = class_is_positive(P, f)
     if isinstance(res, NegativeCycleWitness):
         raise NotPositiveClass(res)
-    n, b = res.nonneg, res.witness_b
-    if isinstance(lower, int):
-        lower = CylinderFunction.constant(P, lower)
-    gap = (lower - b).max_value()
-    if gap > 0:
-        b = b + gap
-    return n, b
+    return res.lifted(lower)
 
 
 def groupoid_cocycle_eval(g: CylinderFunction, eta) -> int:
@@ -250,8 +281,8 @@ def _solve_difference_system(P: Presentation, f: CylinderFunction, D: int):
     if f.depth > D + 1:
         return None  # the equations at this depth cannot express f
     width = max(D, 1)
-    nodes = P.sorted_words(P.language(width))
-    arcs = P.sorted_words(P.language(width + 1))
+    nodes = P.words(width)
+    arcs = P.words(width + 1)
     fr = f.refine(D + 1)
 
     def src(w):

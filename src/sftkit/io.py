@@ -262,7 +262,7 @@ def format_orbit_equivalence(h: OrbitEquivalence, domain_file: str,
         raise ValueError("only single prefix exchanges serialize to oe files")
     P, Q = h.domain, h.codomain
     out = ["oe v1", f"domain {domain_file}", f"codomain {codomain_file}"]
-    for u in sorted(st[0].pairing, key=P._sort_key):
+    for u in P.sorted_words(st[0].pairing):
         out.append(f"map {format_word(P, u)} -> "
                    f"{format_word(Q, st[0].pairing[u])}")
     return "\n".join(out) + "\n"

@@ -48,7 +48,7 @@ class OrbitEquivalence:
         d = max(forward.prefix_needed(1), 2)
         for P, f, g in [(self.domain, self.forward, self.backward),
                         (self.codomain, self.backward, self.forward)]:
-            for w in P.sorted_words(P.language(d)):
+            for w in P.words(d):
                 pre, cyc = P.complete_to_cycle_word(w)
                 x = EvPerPoint.make(P, pre, cyc)
                 if g(f(x)) != x:
@@ -98,6 +98,7 @@ class COEReport:
     lp_witnesses: list = field(default_factory=list)
     lp_checked_cycles: int = 0
     scoe_transfer: object = None
+    positivity: object = None  # PositivityCertificate of l - k, if positive
 
     def as_dict(self):
         return {
@@ -122,7 +123,7 @@ def derive_cocycle_pair(h: OrbitEquivalence, max_depth: int = 12) -> CocyclePair
     P = h.domain
     stages = h.forward.stages
     resolved = {}
-    work = list(P.sorted_words(P.language(1)))
+    work = P.words(1)
     while work:
         w = work.pop()
         try:
@@ -150,7 +151,7 @@ def _verify_pair_on(P: Presentation, pm: PointMap, pair: CocyclePair, slack=8):
     """
     failures = []
     d = pair.depth
-    for w0 in P.sorted_words(P.language(max(d, 1))):
+    for w0 in P.words(max(d, 1)):
         k, l = pair.k.value_on(w0), pair.l.value_on(w0)
         work = [w0]
         while work:
@@ -201,7 +202,8 @@ def verify_coe(h: OrbitEquivalence, pair: CocyclePair, pair_prime: CocyclePair,
     (iv)  The poor orbits, at most one per vertex, are checked directly.
           Every other orbit passes if l - k is a positive class; if not,
           the negative cycle of class_is_positive is an orbit with
-          S < 0 < q, reported as (x, lp(h(x)), S).
+          S < 0 < q, reported as (x, lp(h(x)), S).  A certificate that
+          l - k is positive is kept as report.positivity.
     Both identities are premises: when one fails the verdict is not
     established, least_period_preserving is False with no witness and no
     orbit checked.
@@ -222,6 +224,8 @@ def verify_coe(h: OrbitEquivalence, pair: CocyclePair, pair_prime: CocyclePair,
             if all(x != w[0] for w in witnesses):
                 witnesses.append((x, h(x).least_period(), res.total))
             ok = False
+        else:
+            report.positivity = res
         report.least_period_preserving = ok
         report.lp_witnesses = witnesses
         report.lp_checked_cycles = len(poor)
@@ -290,7 +294,8 @@ def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
             n_p = CylinderFunction.constant(h.codomain, 1)
             b_p = t2
     if n is None:
-        n, b = decompose_positive(h.domain, pair.difference(), lower=pair.l)
+        # a least-period preserving report holds the certificate of l - k
+        n, b = report.positivity.lifted(pair.l)
     else:
         gap = (pair.l - b).max_value()
         if gap > 0:

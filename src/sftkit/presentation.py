@@ -112,14 +112,22 @@ class Presentation:
             raise InadmissibleWord(f"word {w!r} is not admissible")
         return w
 
-    def language(self, m: int):
-        """All admissible words of length m (paths of length m-1)."""
+    def words(self, m: int):
+        """All admissible words of length m (paths of length m-1) as a list
+        in label order, the order of sorted_words.
+
+        Extending each word of the sorted list by its successors, which are
+        kept in label order, keeps the list sorted."""
         if m < 1:
             raise ValueError("m must be >= 1")
         words = [(v,) for v in self.labels]
         for _ in range(m - 1):
             words = [w + (b,) for w in words for b in self._out[w[-1]]]
-        return set(words)
+        return words
+
+    def language(self, m: int):
+        """All admissible words of length m, as a set."""
+        return set(self.words(m))
 
     def extensions(self, w: Word):
         """One-symbol right extensions of an admissible word."""
@@ -333,7 +341,7 @@ def higher_block(P: Presentation, L: int):
     if L == 1:
         rec = HigherBlockRecoding(1, {v: (v,) for v in P.labels})
         return P, rec
-    vertices = P.sorted_words(P.language(L))
+    vertices = P.words(L)
     edges = [(u, w) for u in vertices for w in vertices if u[1:] == w[:-1]]
     Q = Presentation(vertices, edges)
     rec = HigherBlockRecoding(L, {v: v for v in vertices})

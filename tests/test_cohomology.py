@@ -84,6 +84,20 @@ def test_find_potential_nonnegative_weights(gm):
     assert isinstance(res, Potential)
 
 
+def source_distances(nodes, arcs):
+    """Floyd-Warshall oracle: shortest distances from a virtual source with
+    a zero arc to every node, for a graph without negative cycles."""
+    inf = float("inf")
+    d = {u: {v: 0 if u == v else inf for v in nodes} for u in nodes}
+    for a in arcs:
+        d[a.source][a.target] = min(d[a.source][a.target], a.weight)
+    for k in nodes:
+        for u in nodes:
+            for v in nodes:
+                d[u][v] = min(d[u][v], d[u][k] + d[k][v])
+    return {v: min(d[u][v] for u in nodes) for v in nodes}
+
+
 def test_find_potential_agrees_with_cycle_oracle():
     rng = random.Random(7)
     from sftkit.samples import random_digraph
@@ -96,8 +110,27 @@ def test_find_potential_agrees_with_cycle_oracle():
         if isinstance(res, Potential):
             assert not has_negative
             assert res.is_valid_for(W)
+            assert res.kappa == source_distances(nodes, W.arcs)
         else:
             assert has_negative and res.verify()
+
+
+def test_find_potential_finds_the_one_long_negative_cycle():
+    """200 nodes; the only negative cycle runs through nodes 0..49 and sums
+    to -1.  Every other simple cycle uses an extra arc of weight >= 1 and at
+    most the one -1 arc of the long cycle, so it sums to >= 0."""
+    rng = random.Random(11)
+    nodes = list(range(200))
+    ring = [Arc(i, (i + 1) % 50, -1 if i == 17 else 0) for i in range(50)]
+    extra = [Arc(rng.choice(nodes), rng.choice(nodes), rng.randint(1, 5))
+             for _ in range(600)]
+    # ring arcs last and against the walk order: the cycle needs many rounds
+    W = WeightedTransitionGraph(nodes, extra + ring[::-1])
+    res = find_potential(W)
+    assert isinstance(res, NegativeCycleWitness) and res.verify()
+    assert res.total == -1 and len(res.cycle) == 50
+    i = res.cycle.index(ring[0])
+    assert res.cycle[i:] + res.cycle[:i] == tuple(ring)
 
 
 def test_class_is_positive_nonnegative_f(gm):

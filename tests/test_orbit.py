@@ -180,6 +180,27 @@ def test_pipeline_positivity_of_orbit_sums(std_oe, full2):
         assert s >= 1
 
 
+def test_pipeline_decides_each_positivity_once(std_oe, monkeypatch):
+    # verify_coe certifies l - k and the pipeline lifts that certificate;
+    # only l' - k' is decided again, inside decompose_positive
+    import sftkit.cohomology as cohomology_mod
+    import sftkit.orbit as orbit_mod
+    decide, decided = cohomology_mod.class_is_positive, []
+
+    def counting(P, f):
+        decided.append(f)
+        return decide(P, f)
+
+    pair = derive_cocycle_pair(std_oe)
+    rep = verify_coe(std_oe, pair, derive_cocycle_pair(std_oe.inverse()))
+    assert rep.positivity.verify(pair.difference())
+    monkeypatch.setattr(orbit_mod, "class_is_positive", counting)
+    monkeypatch.setattr(cohomology_mod, "class_is_positive", counting)
+    D = coe_to_flow_pipeline(std_oe)
+    assert len(decided) == 2
+    assert (D.n, D.b) == rep.positivity.lifted(pair.l)
+
+
 def test_pipeline_rejects_lp_violation(std_oe, full2, monkeypatch):
     # derived pairs on honest full-shift exchanges preserve periods, so the
     # error path is driven by a stubbed check
@@ -345,5 +366,5 @@ def test_negative_class_is_the_lp_witness(full2, monkeypatch):
     l = CylinderFunction.constant(full2, 1).refine(1)
     rep = verify_coe(h, CocyclePair(k, l), CocyclePair(k, l))
     assert rep.verified and rep.lp_checked_cycles == 0
-    assert not rep.least_period_preserving
+    assert not rep.least_period_preserving and rep.positivity is None
     assert rep.lp_witnesses == [(EvPerPoint.make(full2, (), (1,)), 1, -1)]

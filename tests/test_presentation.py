@@ -59,6 +59,20 @@ def test_language_is_factorial(gm, full3):
                 assert w[:-1] in shorter and w[1:] in shorter
 
 
+def test_words_are_the_language_in_label_order():
+    named = [full_shift(3, labels="cab"), golden_mean(),
+             Presentation("xyz", [("x", "y"), ("y", "z"), ("z", "x"),
+                                  ("y", "y"), ("z", "z")])]
+    seeded = [random_presentation(random.Random(seed), 5)
+              for seed in range(100)]
+    assert sum(not _strongly_connected(P) for P in seeded) >= 10
+    for P in named + seeded:
+        for m in range(1, 6):
+            assert P.words(m) == P.sorted_words(P.language(m)), \
+                (P.labels, sorted(P.edges), m)
+            assert set(P.words(m)) == P.language(m)
+
+
 def test_forbidden_words_golden_mean():
     P, rec = from_forbidden_words((0, 1), [word("11")])
     assert set(P.labels) == {0, 1}
