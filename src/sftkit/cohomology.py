@@ -282,8 +282,8 @@ def _solve_difference_system(P: Presentation, f: CylinderFunction, D: int):
         return None  # the equations at this depth cannot express f
     width = max(D, 1)
     nodes = P.words(width)
-    arcs = P.words(width + 1)
-    fr = f.refine(D + 1)
+    # keyed by the arcs, the (width + 1)-words
+    arcs = f.refine(width + 1).table
 
     def src(w):
         return w[:width]
@@ -292,8 +292,7 @@ def _solve_difference_system(P: Presentation, f: CylinderFunction, D: int):
         return w[1:]
 
     neighbors = {v: [] for v in nodes}
-    for w in arcs:
-        val = fr.value_on(w)
+    for w, val in arcs.items():
         neighbors[src(w)].append((dst(w), -val))   # g(dst) = g(src) - f(w)
         neighbors[dst(w)].append((src(w), val))    # g(src) = g(dst) + f(w)
 
@@ -313,8 +312,8 @@ def _solve_difference_system(P: Presentation, f: CylinderFunction, D: int):
                 else:
                     g[u] = val
                     stack.append(u)
-    for w in arcs:
-        if g[src(w)] - g[dst(w)] != fr.value_on(w):
+    for w, val in arcs.items():
+        if g[src(w)] - g[dst(w)] != val:
             return None
     table = {v: g[v] for v in nodes}
     if D == 0 and len(set(table.values())) > 1:

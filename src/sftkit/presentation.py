@@ -207,25 +207,23 @@ class Presentation:
                 found.append(tuple(c))
         return sorted(found, key=len)
 
-    def simple_cycles(self, max_len=None):
+    def simple_cycles(self):
         """Simple cycles (no repeated vertex) as vertex words, one per
         rotation class."""
-        max_len = max_len or len(self.labels)
         out = []
-        order = {v: i for i, v in enumerate(self.labels)}
+        order = self._index
         for start in self.labels:
             stack = [(start, (start,))]
             while stack:
                 v, path = stack.pop()
                 for b in self._out[v]:
-                    if b == start and len(path) <= max_len:
+                    if b == start:
                         out.append(path)
-                    elif (order[b] > order[start] and b not in path
-                          and len(path) < max_len):
+                    elif order[b] > order[start] and b not in path:
                         stack.append((b, path + (b,)))
         return out
 
-    def complete_to_cycle_word(self, w: Word, prefer_long=True):
+    def complete_to_cycle_word(self, w: Word):
         """Extend an admissible word with a closing cycle, yielding
         (prefix, cycle) for an eventually periodic point in Z(w).
 
@@ -247,7 +245,7 @@ class Presentation:
                         prefix, cycle = w, path[1:] + path[:1]
                     else:
                         prefix, cycle = w + path[1:i], path[i:]
-                    if len(cycle) >= 2 or not prefer_long:
+                    if len(cycle) >= 2:
                         return prefix, cycle
                     if best is None:
                         best = (prefix, cycle)

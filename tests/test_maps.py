@@ -13,6 +13,8 @@ from sftkit import (
 )
 from sftkit.errors import InvalidCode, NeedDepth
 from sftkit.maps import (
+    BlockStage,
+    PointMap,
     PrefixExchangeStage,
     image_form,
     minimal_cocycle_on_cylinder,
@@ -106,6 +108,28 @@ def test_composition_acts_like_both(full2, std_exchange):
         x = EvPerPoint.make(full2, pre, cyc)
         assert h(x) == std_exchange(std_exchange(x))
         assert h.inverse()(h(x)) == x
+
+
+def test_a_stage_without_a_proven_inverse_is_rejected(full2):
+    raw = BlockStage(full2, full2, {(a,): a for a in full2.labels})
+    with pytest.raises(InvalidCode):
+        PointMap(full2, full2, (raw,))
+
+
+def test_double_inverse_holds_the_same_stages(full2, gm, std_exchange):
+    # _chains_match compares stages by identity, so h and its double
+    # inverse must share the stage objects, not equal copies
+    from sftkit.presentation import higher_block
+    Q, _ = higher_block(gm, 2)
+    conj = sliding_block_conjugacy(gm, Q, {w: w for w in gm.language(2)},
+                                   {(q,): q[0] for q in Q.labels})
+    relabel = relabel_map(full2, full_shift(2, labels=("a", "b")),
+                          {0: "a", 1: "b"})
+    for h in (std_exchange, conj, relabel, std_exchange.then(relabel)):
+        back = h.inverse().inverse()
+        assert len(back.stages) == len(h.stages)
+        assert all(a is b for a, b in zip(back.stages, h.stages))
+        assert all(a.inverse.inverse is a for a in h.stages)
 
 
 def test_minimal_cocycles_match_hand_values(full2, std_exchange):

@@ -15,12 +15,14 @@ from sftkit import (
     identity_map,
     orbit_sum,
     verify_coe,
+    verify_flow_claims,
     word,
 )
 from sftkit.errors import InvalidCode, LeastPeriodViolation
 from sftkit.orbit import CocyclePair
 from sftkit.samples import (
     random_bipoint,
+    random_bipoints,
     random_prefix_exchange,
     random_presentation,
     random_split_conjugacy,
@@ -273,6 +275,24 @@ def test_random_prefix_exchanges_verify(full2, full3):
             assert rep.least_period_preserving
 
 
+def _general_maps(count, seed=7):
+    """Seeded maps on random_presentation(rng, 4): 70% prefix exchanges,
+    30% random_split_conjugacy(., 2)."""
+    rng = random.Random(seed)
+    maps = 0
+    while maps < count:
+        P = random_presentation(rng, 4)
+        if rng.random() < 0.7:
+            try:
+                h = random_prefix_exchange(rng, P)
+            except InvalidCode:
+                continue  # no non-identity exchange in 100 draws
+        else:
+            h = random_split_conjugacy(rng, P, 2)
+        yield h
+        maps += 1
+
+
 def test_least_period_verdict_matches_the_bounded_oracle(monkeypatch):
     """On general presentations (reducible ones and isolated periodic
     points included), verify_coe's verdict for every period agrees with a
@@ -287,17 +307,8 @@ def test_least_period_verdict_matches_the_bounded_oracle(monkeypatch):
         return check(h, pair, cycles)
 
     monkeypatch.setattr(orbit_mod, "check_least_period_preserving", spy)
-    rng = random.Random(7)
-    maps = with_poor = 0
-    while maps < 300:
-        P = random_presentation(rng, 4)
-        if rng.random() < 0.7:
-            try:
-                h = random_prefix_exchange(rng, P)
-            except InvalidCode:
-                continue  # no non-identity exchange in 100 draws
-        else:
-            h = random_split_conjugacy(rng, P, 2)
+    with_poor = 0
+    for h in _general_maps(300):
         pair = derive_cocycle_pair(h)
         evaluated.clear()
         rep = verify_coe(h, pair, derive_cocycle_pair(h.inverse()))
@@ -306,9 +317,36 @@ def test_least_period_verdict_matches_the_bounded_oracle(monkeypatch):
         assert rep.lp_checked_cycles == len(evaluated[0])
         ok, witnesses = check(h, pair, h.domain.cycles(8))
         assert rep.least_period_preserving == ok, (h.forward, witnesses)
-        maps += 1
         with_poor += rep.lp_checked_cycles > 0
     assert with_poor >= 50
+
+
+def test_generated_maps_round_trip_at_their_resolution():
+    """The inverse each constructor proves undoes the map on the completion
+    of every cylinder of length max(prefix_needed(1), 2), both ways."""
+    points = 0
+    for h in _general_maps(300):
+        d = max(h.forward.prefix_needed(1), 2)
+        for P, f, g in [(h.domain, h.forward, h.backward),
+                        (h.codomain, h.backward, h.forward)]:
+            for w in P.words(d):
+                x = EvPerPoint.make(P, *P.complete_to_cycle_word(w))
+                assert g(f(x)) == x, (h.forward, w)
+                points += 1
+    assert points > 10000
+
+
+def test_pipeline_and_claims_on_general_maps():
+    rng = random.Random(5)
+    claims = 0
+    for h in _general_maps(60):
+        D = coe_to_flow_pipeline(h)
+        # drawn on h.domain: a split conjugacy may be inverted, so its
+        # domain need not be the presentation it was drawn on
+        rep = verify_flow_claims(D, random_bipoints(rng, h.domain, 4))
+        assert not rep.failures and not rep.inconclusive, h.forward
+        claims += len(rep.results)
+    assert claims > 2000
 
 
 def test_general_fixtures_preserve_least_periods(loop_into_loop,
@@ -340,11 +378,37 @@ def test_poor_orbit_fault_is_reported(loop_into_loop):
     assert not ok
     assert [(str(x), want, got) for x, want, got in witnesses] == \
         [("/b", 1, 2)]
-    # the symbolic identity check rejects the bumped pair, so verify_coe
-    # establishes no verdict at all
+    # Z(b) is the single point b^inf, where the bumped identity holds, so
+    # the pair verifies and the poor orbit is the witness
     rep = verify_coe(h, bumped, pair_p)
+    assert rep.verified
+    assert not rep.least_period_preserving
+    assert [(str(x), want, got) for x, want, got in rep.lp_witnesses] == \
+        [("/b", 1, 2)]
+
+
+def test_pairs_are_settled_pointwise_on_one_point_cylinders(loop_into_loop,
+                                                            single_loop):
+    # sigma^k(sigma x) = sigma^l(x) with l - k = 2 on Z(b) of a -> b: the
+    # symbolic tails are misaligned, but Z(b) holds only b^inf
+    P = loop_into_loop
+    h = OrbitEquivalence(identity_map(P))
+    k = CylinderFunction.constant(P, 0).refine(1)
+    good = CocyclePair(k, CylinderFunction.from_values(P, {("a",): 1,
+                                                           ("b",): 2}))
+    assert verify_coe(h, good, good).verified
+    # Z(a) holds a^n b^inf as well, where l - k = 2 fails
+    bad = CocyclePair(k, CylinderFunction.from_values(P, {("a",): 2,
+                                                          ("b",): 1}))
+    rep = verify_coe(h, bad, bad)
     assert not rep.verified
-    assert not rep.least_period_preserving and not rep.lp_witnesses
+    assert [w for w, _, _ in rep.failures if w[0] == "b"] == []
+    Q = single_loop
+    h = OrbitEquivalence(identity_map(Q))
+    for kv, lv in [(1, 1), (0, 2), (1, 0), (2, 1)]:
+        pair = CocyclePair(CylinderFunction.constant(Q, kv),
+                           CylinderFunction.constant(Q, lv))
+        assert verify_coe(h, pair, pair).verified, (kv, lv)
 
 
 def test_failed_identity_leaves_the_verdict_unestablished(std_oe, full2):
