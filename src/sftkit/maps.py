@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import InvalidCode, NeedDepth
+from .errors import InadmissibleWord, InvalidCode, NeedDepth
 from .points import EvPerPoint
 from .presentation import Presentation, Word, word
 
@@ -190,6 +190,10 @@ class PointMap:
             raise InvalidCode("a stage has no inverse proven by its constructor")
 
     def apply(self, p: EvPerPoint) -> EvPerPoint:
+        if p.presentation is not self.domain and p.presentation != self.domain:
+            raise InadmissibleWord(
+                f"{p} lives on {p.presentation!r}, "
+                f"not on the map's domain {self.domain!r}")
         for st in self.stages:
             p = st.apply_point(p)
         return p

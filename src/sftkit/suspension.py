@@ -9,7 +9,8 @@ and further to a suspension map
 
 with the weight n driving the exact integer reparametrization m_x and its
 piecewise-linear rational extension r_x.  Everything here is exact: integer
-sums for m, Fractions for times, canonical point forms for comparisons.
+sums for m, numerator/denominator pairs for times (Fractions at the
+interface), canonical point forms for comparisons.
 """
 
 from __future__ import annotations
@@ -97,13 +98,25 @@ class WeightProfile:
         return self._first_nonzero(math.floor(Fraction(t)) + 1)
 
     def r(self, t) -> Fraction:
-        """r_x(t) = m_x(i) + (t - i) n(x_[i,inf)) / (j - i), one Fraction."""
+        """r_x(t) = m_x(i) + (t - i) n(x_[i,inf)) / (j - i), one Fraction.
+
+        The claims in verify_flow_claims compare r_over pairs as integer
+        cross-products instead, and build this Fraction only to report a
+        failure.
+        """
         t = Fraction(t)
-        a, d = t.numerator, t.denominator
+        return Fraction(*self.r_over(t.numerator, t.denominator))
+
+    def r_over(self, a: int, d: int) -> tuple[int, int]:
+        """r_x(a/d) for d > 0 as an unreduced pair (numerator, denominator).
+
+        The denominator d (j - i) is positive, so numerator // denominator
+        is the floor of r_x(a/d).
+        """
         i = self._last_nonzero(a // d)
         j = self._first_nonzero(a // d + 1)
-        return Fraction(self.m(i) * d * (j - i) + (a - i * d) * self.value(i),
-                        d * (j - i))
+        return (self.m(i) * d * (j - i) + (a - i * d) * self.value(i),
+                d * (j - i))
 
     def _last_nonzero(self, i: int) -> int:
         """The largest k <= i with value(k) != 0."""
@@ -387,13 +400,16 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
     Checks, for each sampled two-sided point: shift equivariance of the
     two-sided map, least-period scaling on periodic points, the inverse
     round trip up to a shift, the time-change cocycle rule, and suspension
-    representative independence.  Every comparison is exact; a computation
-    that blows up on corrupted data is recorded as a failing entry rather
-    than aborting the report.
+    representative independence.  Every comparison is exact: times are
+    compared as integer cross-products of WeightProfile.r_over pairs, and
+    Fractions and SuspensionPoints are built only to report a failure.  A
+    computation that blows up on corrupted data is recorded as a failing
+    entry rather than aborting the report.
     """
     from .errors import SftError
 
     t_grid = t_grid if t_grid is not None else quarter_grid()
+    grid = [(t.numerator, t.denominator) for t in map(Fraction, t_grid)]
     n = D.n
     Dp = D.primed()
     results = []
@@ -447,21 +463,27 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
             def time_change(p=p, bx=bx):
                 wx, ws = weights(bx), weights(bx.shift(p))
                 mp = wx.m(p)
-                for t in t_grid:
-                    lhs, rhs = wx.r(t + p), ws.r(t) + mp
-                    if lhs != rhs:
-                        return False, f"r(t+p)={lhs} at t={t}", f"{rhs}"
+                for t, (a, d) in zip(t_grid, grid):
+                    ln, ld = wx.r_over(a + p * d, d)
+                    rn, rd = ws.r_over(a, d)
+                    if ln * rd != (rn + mp * rd) * ld:
+                        return (False, f"r(t+p)={Fraction(ln, ld)} at t={t}",
+                                f"{Fraction(rn, rd) + mp}")
                 return True, "r_x(t+p)", "r_{s^p x}(t) + m_x(p)"
             attempt("time-change-cocycle", bx, {"p": p, "grid": len(t_grid)},
                     time_change)
 
         def representative(bx=bx):
             sx = bx.shift(1)
-            for t in t_grid:
-                a = SuspensionPoint.make(phi2(sx), weights(sx).r(t))
-                b = SuspensionPoint.make(phi2(bx), weights(bx).r(t + 1))
-                if a != b:
-                    return False, f"{a} at t={t}", f"{b}"
+            for t, (a, d) in zip(t_grid, grid):
+                ya, (an, ad) = phi2(sx), weights(sx).r_over(a, d)
+                yb, (bn, bd) = phi2(bx), weights(bx).r_over(a + d, d)
+                fa, fb = an // ad, bn // bd
+                if ((an - fa * ad) * bd != (bn - fb * bd) * ad
+                        or ya.shift(fa) != yb.shift(fb)):
+                    sa = SuspensionPoint.make(ya, Fraction(an, ad))
+                    sb = SuspensionPoint.make(yb, Fraction(bn, bd))
+                    return False, f"{sa} at t={t}", f"{sb}"
             return True, "psi(sx, t)", "psi(x, t+1)"
         attempt("suspension-well-defined", bx, {"grid": len(t_grid)},
                 representative)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -130,6 +131,22 @@ def test_cli_json_deterministic(tree, capsys):
     assert outs[0] == outs[1]
     payload = json.loads(outs[0])
     assert payload["claims_failed"] == 0
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["pipeline", "--samples", "16"],
+     "59f913346f8988a8d373f7485f6c6f90595c88460dd8e92b01da1cbae0940633"),
+    (["verify-claims", "--samples", "8"],
+     "4bc1dfe02fc9e5b3ed8cc2c2937c3496049c04a17cb994b88f6ccfbb0ef9b2e2"),
+], ids=["pipeline", "verify-claims"])
+def test_cli_json_digests_are_pinned(tree, capsys, argv, digest):
+    # the --json contract: these bytes do not depend on the file's path, so
+    # any change to them is a change of the output format or of a result
+    verb, *flags = argv
+    assert main([verb, str(tree / "pe.oe"), "--json", "--seed", "3",
+                 *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_move_and_groupoid_check(tree, capsys):

@@ -11,7 +11,7 @@ from sftkit import (
     sliding_block_conjugacy,
     word,
 )
-from sftkit.errors import InvalidCode, NeedDepth
+from sftkit.errors import InadmissibleWord, InvalidCode, NeedDepth
 from sftkit.maps import (
     BlockStage,
     PointMap,
@@ -107,6 +107,20 @@ def test_composition_acts_like_both(full2, std_exchange):
     for pre, cyc in [((), (0,)), ((1, 0), (0, 1)), ((), (1,))]:
         x = EvPerPoint.make(full2, pre, cyc)
         assert h(x) == std_exchange(std_exchange(x))
+        assert h.inverse()(h(x)) == x
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_point_of_another_presentation_is_inadmissible(full2, seed):
+    # both maps are drawn on full2, yet their domain is a split presentation;
+    # seed 1 used to end in a bare KeyError, seed 0 returned a point
+    h = random_split_conjugacy(random.Random(seed), full2, 2)
+    assert h.domain != full2
+    with pytest.raises(InadmissibleWord):
+        h(EvPerPoint.make(full2, (), (0,)))
+    for cyc in h.domain.cycles(3):
+        x = EvPerPoint.make(h.domain, (), cyc)
+        assert h(x).presentation == h.codomain
         assert h.inverse()(h(x)) == x
 
 

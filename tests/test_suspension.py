@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from sftkit import (
     FlowMapData,
     OrbitEquivalence,
     SuspensionPoint,
+    WeightProfile,
     bold_varphi,
     coe_to_flow_pipeline,
     identity_map,
@@ -20,7 +22,7 @@ from sftkit import (
     r_eval,
     verify_flow_claims,
 )
-from sftkit.errors import DegenerateN, VerificationFailed
+from sftkit.errors import DegenerateN, SftError, VerificationFailed
 from sftkit.samples import random_bipoint
 
 
@@ -255,3 +257,123 @@ def test_bold_varphi_image_check_raises_typed_error(full2, monkeypatch):
     monkeypatch.setattr(BiPoint, "tail", lambda self, i: tail(self, i + 1))
     with pytest.raises(VerificationFailed):
         bold_varphi(D, bx)
+
+
+def _time_change_reference(n, bx, sp, p, grid):
+    """The time-change claim as the Fraction formulas state it; sp stands
+    for sigma^p bx."""
+    for t in grid:
+        lhs, rhs = r_eval(n, bx, t + p), r_eval(n, sp, t) + m_eval(n, bx, p)
+        if lhs != rhs:
+            return False, f"r(t+p)={lhs} at t={t}", f"{rhs}"
+    return True, "r_x(t+p)", "r_{s^p x}(t) + m_x(p)"
+
+
+def _representative_reference(D, bx, sx, grid, lift=0):
+    """The suspension claim as SuspensionPoint.make states it; sx stands
+    for sigma bx, and both images move lift more steps."""
+    for t in grid:
+        a = SuspensionPoint.make(bold_varphi(D, sx).shift(lift),
+                                 r_eval(D.n, sx, t))
+        b = SuspensionPoint.make(bold_varphi(D, bx).shift(lift),
+                                 r_eval(D.n, bx, t + 1))
+        if a != b:
+            return False, f"{a} at t={t}", f"{b}"
+    return True, "psi(sx, t)", "psi(x, t+1)"
+
+
+def _failure_sample(P):
+    return [BiPoint.periodic(P, (0, 1)), BiPoint.periodic(P, (0,)),
+            BiPoint.make(P, (0,), (1,), (0, 1)),
+            BiPoint.make(P, (0,), (1, 1, 0), (0, 1, 1))]
+
+
+def _check_time_claims(D, rep, sample, grid, extra=0):
+    """Assert that every time-claim entry of rep, passing or failing,
+    equals the reference verdict and strings when each shift moves extra
+    more steps; return the failures per claim."""
+    points = {str(bx): bx for bx in sample}
+    failed = {"time-change-cocycle": 0, "suspension-well-defined": 0}
+    for f in rep.results:
+        if f.claim not in failed:
+            continue
+        bx = points[f.point]
+        try:
+            if f.claim == "time-change-cocycle":
+                p = f.parameters["p"]
+                expect = _time_change_reference(D.n, bx, bx.shift(p + extra),
+                                                p, grid)
+            else:
+                expect = _representative_reference(D, bx, bx.shift(1 + extra),
+                                                   grid, extra)
+        except SftError as e:
+            expect = False, f"error: {e}", ""
+        assert (f.passed, f.lhs, f.rhs) == expect
+        failed[f.claim] += not f.passed
+    return failed
+
+
+@pytest.mark.parametrize("grid", [quarter_grid(),
+                                  [Fraction(q, 3) for q in range(-5, 6)]])
+def test_failure_reports_keep_their_fraction_form(full2, std_exchange,
+                                                  monkeypatch, grid):
+    """Time claims report the Fractions and suspension points that the
+    Fraction formulas give.  BiPoint.shift is patched to move one step too
+    far, so sigma^p reads sigma^(p+1) and SuspensionPoint.make shifts its
+    point once more."""
+    D = coe_to_flow_pipeline(OrbitEquivalence(std_exchange))
+    sample = _failure_sample(full2)
+    shift = BiPoint.shift
+    monkeypatch.setattr(BiPoint, "shift",
+                        lambda self, j=1: shift(self, j + 1))
+    rep = verify_flow_claims(D, sample, t_grid=grid)
+    monkeypatch.undo()
+    assert _check_time_claims(D, rep, sample, grid, extra=1) == {
+        "time-change-cocycle": 14, "suspension-well-defined": 3}
+
+
+def test_time_claims_match_the_fraction_formulas_on_corrupted_n(
+        full2, std_exchange):
+    """Every time-claim entry equals the Fraction formulas' verdict and
+    strings, with n raised or lowered on one word."""
+    D = coe_to_flow_pipeline(OrbitEquivalence(std_exchange))
+    sample = _failure_sample(full2)
+    grid = quarter_grid(-1, 1)
+    failed = Counter()
+    for key in sorted(D.n.table):
+        for delta in (1, -1):
+            table = dict(D.n.table)
+            table[key] += delta
+            if table[key] < 0:
+                continue
+            Dbad = FlowMapData(D.h, D.k, D.l, D.k_prime, D.l_prime, D.b,
+                               D.b_prime, CylinderFunction(full2, D.n.depth,
+                                                           table),
+                               D.n_prime, validate=False)
+            rep = verify_flow_claims(Dbad, sample, t_grid=grid,
+                                     p_range=(-2, 2))
+            failed.update(_check_time_claims(Dbad, rep, sample, grid))
+    assert len(failed) == 2 and all(failed.values()), failed
+
+
+def test_a_time_off_by_a_fraction_is_reported(full2, std_exchange,
+                                              monkeypatch):
+    """r_x skewed by half a step on odd floors of t: r_x(t+1) and
+    r_{sigma x}(t) then differ by a non-integer, so the suspension claim
+    fails on the fractional parts, and reports what SuspensionPoint.make
+    gives for the skewed times."""
+    D = coe_to_flow_pipeline(OrbitEquivalence(std_exchange))
+    r_over = WeightProfile.r_over
+
+    def skewed(self, a, d):
+        num, den = r_over(self, a, d)
+        return 2 * num + (a // d) % 2, 2 * den
+
+    monkeypatch.setattr(WeightProfile, "r_over", skewed)
+    sample = _failure_sample(full2)
+    grid = quarter_grid(-1, 1)
+    rep = verify_flow_claims(D, sample, t_grid=grid, p_range=(-2, 2))
+    # odd p moves the parity of the floor, even p does not
+    assert _check_time_claims(D, rep, sample, grid) == {
+        "time-change-cocycle": 2 * len(sample),
+        "suspension-well-defined": len(sample)}

@@ -13,12 +13,16 @@ from hypothesis import given, settings, strategies as st
 from sftkit import (
     BiPoint,
     CylinderFunction,
+    FlowMapData,
+    OrbitEquivalence,
     WeightProfile,
+    coe_to_flow_pipeline,
     full_shift,
     golden_mean,
     m_eval,
     quarter_grid,
     r_eval,
+    verify_flow_claims,
 )
 from sftkit.errors import DegenerateN, InadmissibleWord
 from sftkit.samples import (
@@ -116,6 +120,40 @@ def test_profile_matches_tail_reference(case):
         assert outcome(i_index, n, bx, t) == outcome(ref_i_index, n, bx, t)
         assert outcome(j_index, n, bx, t) == outcome(ref_j_index, n, bx, t)
         assert outcome(r_eval, n, bx, t) == outcome(ref_r, n, bx, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_points(), st.integers(-60, 60), st.integers(1, 7))
+def test_r_over_is_r_at_a_over_d(case, a, d):
+    n, bx = case
+    prof = WeightProfile(n, bx)
+
+    def over():
+        num, den = prof.r_over(a, d)
+        assert den > 0
+        return Fraction(num, den)
+
+    assert outcome(over) == outcome(ref_r, n, bx, Fraction(a, d))
+
+
+def test_claims_read_int_and_fraction_grids_alike(full2, std_exchange):
+    D = coe_to_flow_pipeline(OrbitEquivalence(std_exchange))
+    # raising n on 010 breaks suspension-well-defined, whose report prints t
+    bad = dict(D.n.table)
+    bad[(0, 1, 0)] += 1
+    Dbad = FlowMapData(D.h, D.k, D.l, D.k_prime, D.l_prime, D.b, D.b_prime,
+                       CylinderFunction(full2, D.n.depth, bad), D.n_prime,
+                       validate=False)
+    sample = [BiPoint.periodic(full2, (0, 1)),
+              BiPoint.make(full2, (0,), (1, 1, 0), (0, 1), -1)]
+    for data, fails in ((D, False), (Dbad, True)):
+        ints = verify_flow_claims(data, sample, t_grid=[-1, 0, 1]).as_list()
+        fractions = verify_flow_claims(
+            data, sample,
+            t_grid=[Fraction(-1), Fraction(0), Fraction(1)]).as_list()
+        assert ints == fractions
+        assert any(r["claim"] == "suspension-well-defined" and not r["pass"]
+                   for r in ints) == fails
 
 
 @settings(max_examples=80, deadline=None)
