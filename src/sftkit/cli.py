@@ -38,6 +38,10 @@ from .suspension import quarter_grid, verify_flow_claims
 OK, FALSIFIED, INPUT_ERROR, INCONCLUSIVE = 0, 1, 2, 3
 
 
+class _BadArgument(SftError):
+    """A command-line value the command cannot use."""
+
+
 def _emit(args, payload, text_lines):
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2, default=str))
@@ -53,7 +57,12 @@ def _require(ok: bool, what: str):
 
 def _load_fn(spec: str, P):
     if spec.startswith("const:"):
-        return CylinderFunction.constant(P, int(spec.split(":", 1)[1]))
+        try:
+            value = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise _BadArgument(
+                f"--f {spec!r}: const: needs an integer") from None
+        return CylinderFunction.constant(P, value)
     if spec.startswith("file:"):
         spec = spec.split(":", 1)[1]
     return sio.read_cylinder_function(spec, P)
@@ -381,10 +390,26 @@ def build_parser():
     return ap
 
 
+def _check_args(args):
+    """Reject counts and ranges that would leave a command nothing to check
+    or crash it."""
+    for name, flag in (("m", "-m"), ("samples", "--samples")):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise _BadArgument(f"{flag} must be at least 1, got {value}")
+    for name, flag in (("j_range", "--j-range"), ("t_grid", "--t-grid")):
+        lo, hi = getattr(args, name, (0, 0))
+        if lo > hi:
+            raise _BadArgument(f"{flag} {lo} {hi} is empty: {lo} > {hi}")
+
+
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
+        _check_args(args)
         return args.fn(args)
     except DepthExceeded as e:
         print(f"inconclusive: {e}", file=sys.stderr)

@@ -4,6 +4,10 @@ A CylinderFunction of depth d takes its value from the first d symbols of a
 point; the table is kept on admissible words of length max(d, 1) so that
 depth 0 (constants) still has concrete entries.  Binary operations refine
 both operands to the larger depth.
+
+The word set is proven once, at the public constructor.  Arithmetic results
+(refine, pullback, +, -, negation, constant) take their keys from P.words or
+from a validated operand's table, so they are right by construction.
 """
 
 from __future__ import annotations
@@ -34,9 +38,16 @@ class CylinderFunction:
 
     # -- constructors -----------------------------------------------------
 
+    @classmethod
+    def _of(cls, P: Presentation, depth: int, table) -> "CylinderFunction":
+        """A table keyed by the admissible max(depth, 1)-words by construction."""
+        f = object.__new__(cls)
+        f.presentation, f.depth, f.table = P, depth, table
+        return f
+
     @staticmethod
     def constant(P: Presentation, value: int) -> "CylinderFunction":
-        return CylinderFunction(P, 0, {w: value for w in P.language(1)})
+        return CylinderFunction._of(P, 0, dict.fromkeys(P.words(1), int(value)))
 
     @staticmethod
     def from_values(P: Presentation, table) -> "CylinderFunction":
@@ -70,18 +81,20 @@ class CylinderFunction:
     def refine(self, depth: int) -> "CylinderFunction":
         if depth < self.depth:
             raise ValueError("can only refine to a larger depth")
-        if depth == self.depth:
-            return self
-        table = {w: self.value_on(w)
-                 for w in self.presentation.language(max(depth, 1))}
-        return CylinderFunction(self.presentation, depth, table)
+        return self if depth == self.depth else self._read(depth, 0)
 
     def pullback(self) -> "CylinderFunction":
         """f o sigma, of depth d+1."""
-        d1 = self.depth + 1
-        table = {w: self.value_on(w[1:])
-                 for w in self.presentation.language(max(d1, 1))}
-        return CylinderFunction(self.presentation, d1, table)
+        if self.depth == 0:
+            return self.refine(1)
+        return self._read(self.depth + 1, 1)
+
+    def _read(self, depth: int, start: int) -> "CylinderFunction":
+        """w -> f(w[start:]) at a depth >= 1: each admissible word's slice of
+        this table's width is an admissible word, hence a key."""
+        P, t, width = self.presentation, self.table, self.width()
+        return CylinderFunction._of(P, depth, {
+            w: t[w[start:start + width]] for w in P.words(depth)})
 
     def coboundary(self) -> "CylinderFunction":
         """f - f o sigma, of depth d+1."""
@@ -94,7 +107,7 @@ class CylinderFunction:
             raise ValueError("operands live on different presentations")
         d = max(self.depth, other.depth)
         a, b = self.refine(d), other.refine(d)
-        return CylinderFunction(
+        return CylinderFunction._of(
             self.presentation, d,
             {w: op(a.table[w], b.table[w]) for w in a.table})
 
@@ -105,8 +118,8 @@ class CylinderFunction:
         return self._binary(other, lambda x, y: x - y)
 
     def __neg__(self):
-        return CylinderFunction(self.presentation, self.depth,
-                                {w: -v for w, v in self.table.items()})
+        return CylinderFunction._of(self.presentation, self.depth,
+                                    {w: -v for w, v in self.table.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CylinderFunction):

@@ -245,8 +245,20 @@ def find_scoe_transfer(h: OrbitEquivalence, pair: CocyclePair,
     The orbit-sum obstruction (every cycle sum of l - k must equal the
     cycle length) is checked first inside the coboundary solver.
     """
-    target = pair.difference() - 1
-    return solve_coboundary(h.domain, target, max_depth)
+    return solve_coboundary(h.domain, pair.difference() - 1, max_depth)
+
+
+def _decompose(P, pair: CocyclePair, scoe: bool, certificate=None):
+    """(n, b, c) with l - k = n + b - b o sigma and b >= l.  With scoe and
+    l - k - 1 a coboundary, n = 1 and the transfer is lifted by c; otherwise
+    (n, b) is the positivity certificate (the given one, if any), c = 0."""
+    t = solve_coboundary(P, pair.difference() - 1, 8) if scoe else None
+    if t is not None:
+        c = max((pair.l - t).max_value(), 0)
+        return CylinderFunction.constant(P, 1), t + c, c
+    if certificate is None:
+        return (*decompose_positive(P, pair.difference(), lower=pair.l), 0)
+    return (*certificate.lifted(pair.l), 0)
 
 
 def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
@@ -269,33 +281,8 @@ def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
     if not report.least_period_preserving:
         raise LeastPeriodViolation(report.lp_witnesses)
 
-    shift_c = [0, 0]
-    n = b = n_p = b_p = None
-    if scoe:
-        t = find_scoe_transfer(h, pair)
-        if t is not None:
-            n = CylinderFunction.constant(h.domain, 1)
-            b = t
-        t2 = find_scoe_transfer(h.inverse(), pair_prime)
-        if t2 is not None:
-            n_p = CylinderFunction.constant(h.codomain, 1)
-            b_p = t2
-    if n is None:
-        # a least-period preserving report holds the certificate of l - k
-        n, b = report.positivity.lifted(pair.l)
-    else:
-        gap = (pair.l - b).max_value()
-        if gap > 0:
-            shift_c[0] = gap
-            b = b + gap
-    if n_p is None:
-        n_p, b_p = decompose_positive(h.codomain, pair_prime.difference(),
-                                      lower=pair_prime.l)
-    else:
-        gap = (pair_prime.l - b_p).max_value()
-        if gap > 0:
-            shift_c[1] = gap
-            b_p = b_p + gap
+    n, b, c = _decompose(h.domain, pair, scoe, report.positivity)
+    n_p, b_p, c_p = _decompose(h.codomain, pair_prime, scoe)
     return FlowMapData(h.forward, pair.k, pair.l, pair_prime.k, pair_prime.l,
-                       b, b_p, n, n_p, tuple(shift_c))
+                       b, b_p, n, n_p, (c, c_p))
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftkit import (
     CylinderFunction,
@@ -139,3 +140,53 @@ def test_orbit_sum_rejects_open_words_at_every_depth(gm):
         for w in ((), word("11"), word("1"), word("101"), (2,)):
             with pytest.raises(NotClosed):
                 orbit_sum(f, w)
+
+
+def _random_function(rng, P, depth):
+    if depth == 0:
+        return CylinderFunction.constant(P, rng.randint(-3, 3))
+    return CylinderFunction(P, depth, {w: rng.randint(-3, 3)
+                                       for w in P.language(depth)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 3),
+       st.integers(-3, 3))
+def test_arithmetic_results_pass_the_public_check(seed, df, dg, c):
+    """Results built without the constructor's word-set check cover exactly
+    the admissible words of their width, pass that check, and agree word by
+    word with the value_on reference."""
+    rng = random.Random(seed)
+    P = random_presentation(rng)
+    f, g = _random_function(rng, P, df), _random_function(rng, P, dg)
+    d = max(df, dg)
+    cases = [
+        ("refine", f.refine(d + 1), d + 1, lambda w: f.value_on(w)),
+        ("pullback", f.pullback(), df + 1, lambda w: f.value_on(w[1:])),
+        ("coboundary", f.coboundary(), df + 1,
+         lambda w: f.value_on(w) - f.value_on(w[1:])),
+        ("f + g", f + g, d, lambda w: f.value_on(w) + g.value_on(w)),
+        ("f - g", f - g, d, lambda w: f.value_on(w) - g.value_on(w)),
+        ("f + c", f + c, df, lambda w: f.value_on(w) + c),
+        ("f - c", f - c, df, lambda w: f.value_on(w) - c),
+        ("-f", -f, df, lambda w: -f.value_on(w)),
+        ("constant", CylinderFunction.constant(P, c), 0, lambda w: c),
+    ]
+    for name, r, depth, ref in cases:
+        assert r.depth == depth, name
+        assert set(r.table) == P.language(r.width()), name
+        assert CylinderFunction(P, r.depth, r.table).table == r.table, name
+        for w in P.words(r.width()):
+            assert r.value_on(w) == ref(w), (name, w)
+
+
+def test_public_constructor_still_checks_the_word_set(gm):
+    """Missing or extra words and a non-constant depth-0 table are
+    rejected at the public boundary."""
+    words = gm.language(2)
+    with pytest.raises(ValueError, match="missing"):
+        CylinderFunction(gm, 2, {w: 0 for w in sorted(words)[1:]})
+    with pytest.raises(ValueError, match="extra"):
+        CylinderFunction(gm, 2, {w: 0 for w in words | {(1, 1)}})
+    with pytest.raises(ValueError, match="constant"):
+        CylinderFunction(gm, 0, {(0,): 0, (1,): 1})

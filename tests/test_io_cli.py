@@ -180,6 +180,43 @@ def test_cli_move_rejects_bad_input(tree, capsys, flags, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("verb, spec", [
+    ("tower", "const:x"),
+    ("positive", "const:"),
+    ("potential", "const:1.5"),
+])
+def test_cli_bad_const_spec_is_an_input_error(tree, capsys, verb, spec):
+    """A const: spec that is not an integer exits 2 naming the spec, not 1
+    (the code for "verified false") with a traceback."""
+    rc = main([verb, str(tree / "full2.sft"), "--f", spec])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(spec) in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-claims", "pe.oe", "--t-grid", "2", "-2"], "--t-grid 2 -2"),
+    (["verify-claims", "pe.oe", "--j-range", "3", "-3"], "--j-range 3 -3"),
+    (["pipeline", "pe.oe", "--samples", "-1"], "--samples"),
+    (["pipeline", "pe.oe", "--samples", "0"], "--samples"),
+    (["verify-claims", "pe.oe", "--samples", "0"], "--samples"),
+    (["groupoid-check", "full2.sft", "--samples", "-2"], "--samples"),
+    (["language", "full2.sft", "-m", "0"], "-m"),
+], ids=["reversed-t-grid", "reversed-j-range", "negative-samples",
+        "no-samples", "no-claim-samples", "negative-groupoid-samples",
+        "empty-words"])
+def test_cli_rejects_vacuous_or_crashing_arguments(tree, capsys, argv,
+                                                   message):
+    """Arguments that would check nothing, or crash the command, are input
+    errors (exit 2), never a pass or a traceback."""
+    verb, path, *flags = argv
+    rc = main([verb, str(tree / path), *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 @pytest.mark.parametrize("verb, flags", [
     ("move", ["--kind", "out_split", "--vertex", "0", "--parts", "0;1"]),
     ("tower", ["--f", "const:2"]),
