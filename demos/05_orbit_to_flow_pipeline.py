@@ -1,10 +1,11 @@
 """The full route from an orbit equivalence to a flow equivalence.
 
 Starting from the prefix exchange 0 -> 10, 10 -> 0, 11 -> 11 on the full
-2-shift: derive the minimal cocycle pair per cylinder, verify both cocycle
-identities exhaustively and symbolically, decompose l - k = n + b - b o
-sigma with n >= 0, and evaluate the induced two-sided map, time change, and
-suspension map.  Every identity along the way is checked exactly.
+2-shift: derive the minimal cocycle pair per cylinder, which proves both
+cocycle identities symbolically on every cylinder, decompose
+l - k = n + b - b o sigma with n >= 0, and evaluate the induced two-sided
+map, time change, and suspension map.  Every identity along the way is
+checked exactly.
 """
 
 from fractions import Fraction

@@ -113,6 +113,8 @@ def parse_cylinder_function(text: str, P: Presentation,
         if len(parts) != 2:
             raise ParseError(source, ln, f"expected '<word> <int>', got {line!r}")
         w = parse_word(P, parts[0], source, ln)
+        if w in table:
+            raise ParseError(source, ln, f"word {parts[0]!r} given twice")
         try:
             table[w] = int(parts[1])
         except ValueError:
@@ -195,8 +197,15 @@ def read_orbit_equivalence(path: str) -> OrbitEquivalence:
         oe v1
         compose first.oe second.oe
 
-    Paths are resolved relative to the file.
+    Paths are resolved relative to the file.  A file that composes itself,
+    directly or through others, is a ParseError.
     """
+    return _read_orbit_equivalence(path, ())
+
+
+def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
+    """read_orbit_equivalence with the real paths of the files whose
+    compose lines are being read, outermost first."""
     with open(path) as fh:
         text = fh.read()
     base = os.path.dirname(os.path.abspath(path))
@@ -208,9 +217,15 @@ def read_orbit_equivalence(path: str) -> OrbitEquivalence:
         parts = body[0][1].split()
         if len(parts) != 3:
             raise ParseError(path, body[0][0], "compose needs two files")
-        first = read_orbit_equivalence(os.path.join(base, parts[1]))
-        second = read_orbit_equivalence(os.path.join(base, parts[2]))
-        return first.compose(second)
+        opening += (os.path.realpath(path),)
+        first, second = (os.path.join(base, p) for p in parts[1:])
+        for real in map(os.path.realpath, (first, second)):
+            if real in opening:
+                cycle = opening[opening.index(real):] + (real,)
+                raise ParseError(path, body[0][0],
+                                 "compose cycle: " + " -> ".join(cycle))
+        return _read_orbit_equivalence(first, opening).compose(
+            _read_orbit_equivalence(second, opening))
     domain = codomain = None
     pairs = []
     vmap_rows = []
@@ -236,15 +251,21 @@ def read_orbit_equivalence(path: str) -> OrbitEquivalence:
         raise ParseError(path, 1, "need domain and codomain")
     pairing = {}
     for ln, u, v in pairs:
-        pairing[parse_word(domain, u, path, ln)] = parse_word(codomain, v, path, ln)
+        w = parse_word(domain, u, path, ln)
+        if w in pairing:
+            raise ParseError(path, ln, f"map {u!r} given twice")
+        pairing[w] = parse_word(codomain, v, path, ln)
     vertex_map = None
     if vmap_rows:
         vertex_map = {}
         for ln, i, j in vmap_rows:
             try:
-                vertex_map[domain.labels[int(i)]] = codomain.labels[int(j)]
+                v, image = domain.labels[int(i)], codomain.labels[int(j)]
             except (ValueError, IndexError):
                 raise ParseError(path, ln, f"bad vmap entry {i} {j}")
+            if v in vertex_map:
+                raise ParseError(path, ln, f"vmap {i} given twice")
+            vertex_map[v] = image
     elif domain != codomain:
         vertex_map = dict(zip(domain.labels, codomain.labels))
     try:

@@ -202,15 +202,49 @@ def test_cli_bad_const_spec_is_an_input_error(tree, capsys, verb, spec):
     (["verify-claims", "pe.oe", "--samples", "0"], "--samples"),
     (["groupoid-check", "full2.sft", "--samples", "-2"], "--samples"),
     (["language", "full2.sft", "-m", "0"], "-m"),
+    (["derive-cocycles", "pe.oe", "--depth", "0"], "--depth"),
+    (["verify-coe", "pe.oe", "--depth", "-3"], "--depth"),
+    (["pipeline", "pe.oe", "--depth", "0"], "--depth"),
+    (["verify-claims", "pe.oe", "--depth", "-3"], "--depth"),
 ], ids=["reversed-t-grid", "reversed-j-range", "negative-samples",
         "no-samples", "no-claim-samples", "negative-groupoid-samples",
-        "empty-words"])
+        "empty-words", "no-derive-depth", "negative-coe-depth",
+        "no-pipeline-depth", "negative-claims-depth"])
 def test_cli_rejects_vacuous_or_crashing_arguments(tree, capsys, argv,
                                                    message):
     """Arguments that would check nothing, or crash the command, are input
     errors (exit 2), never a pass or a traceback."""
     verb, path, *flags = argv
     rc = main([verb, str(tree / path), *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"self.oe": "oe v1\ncompose self.oe self.oe\n"},
+     ["verify-coe", "self.oe"], "self.oe:2: compose cycle: "),
+    ({"a.oe": "oe v1\ncompose pe.oe b.oe\n",
+      "b.oe": "oe v1\ncompose a.oe pe.oe\n"},
+     ["pipeline", "a.oe"], "b.oe:2: compose cycle: "),
+    ({"twice.oe": PE + "map 0 -> 10\n"},
+     ["verify-coe", "twice.oe"], "twice.oe:7: map '0' given twice"),
+    ({"vtwice.oe": PE + "vmap 0 1\nvmap 1 1\nvmap 0 0\n"},
+     ["verify-coe", "vtwice.oe"], "vtwice.oe:9: vmap 0 given twice"),
+    ({"twice.fn": "fn depth=1\n0 1\n1 2\n0 5\n"},
+     ["positive", "full2.sft", "--f", "twice.fn"],
+     "twice.fn:4: word '0' given twice"),
+], ids=["self-composition", "mutual-composition", "repeated-map",
+        "repeated-vmap", "repeated-fn-word"])
+def test_cli_malformed_input_files_are_input_errors(tree, capsys, monkeypatch,
+                                                    files, argv, message):
+    """A compose cycle or a word given twice is a parse error (exit 2)
+    naming the line, never a traceback or a silently kept last line."""
+    monkeypatch.chdir(tree)
+    for name, text in files.items():
+        (tree / name).write_text(text)
+    rc = main(argv)
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""

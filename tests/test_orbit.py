@@ -432,3 +432,66 @@ def test_negative_class_is_the_lp_witness(full2, monkeypatch):
     assert rep.verified and rep.lp_checked_cycles == 0
     assert not rep.least_period_preserving and rep.positivity is None
     assert rep.lp_witnesses == [(EvPerPoint.make(full2, (), (1,)), 1, -1)]
+
+
+def test_derived_pairs_pass_the_exhaustive_check(loop_into_loop,
+                                                 rich_into_permutation,
+                                                 two_rich_components):
+    """verify_coe takes a derived pair as proven; the exhaustive check it
+    skips stays the reference, on both sides of every map."""
+    from sftkit.orbit import _verify_pair_on
+    rng = random.Random(9)
+    fixtures = [f(rng, P, *a) for P in (loop_into_loop, rich_into_permutation,
+                                        two_rich_components)
+                for f, a in ((random_prefix_exchange, ()),
+                             (random_split_conjugacy, (2,)))]
+    for h in [*_general_maps(120, seed=11), *fixtures]:
+        for P, pm, g in [(h.domain, h.forward, h),
+                         (h.codomain, h.backward, h.inverse())]:
+            pair = derive_cocycle_pair(g)
+            assert pair._proven_for is pm
+            assert _verify_pair_on(P, pm, pair) == [], (pm, pair)
+
+
+def test_a_stale_proof_gets_the_exhaustive_check(std_oe, full2):
+    import dataclasses
+    pair = derive_cocycle_pair(std_oe)
+    pair_p = derive_cocycle_pair(std_oe.inverse())
+    bumped = dataclasses.replace(pair, l=pair.l + 1)
+    assert bumped._proven_for is None
+    assert verify_coe(std_oe, bumped, pair_p).failures
+    assert verify_coe(std_oe, pair, dataclasses.replace(pair_p)).verified
+    # a pair derived for another map, on the same shift
+    g = OrbitEquivalence(identity_map(full2))
+    rep = verify_coe(std_oe, derive_cocycle_pair(g), pair_p)
+    assert not rep.verified and rep.failures
+    rep = verify_coe(g, pair, pair_p)
+    assert not rep.verified and rep.failures
+
+
+def test_derived_pairs_are_not_checked_again(std_oe, tmp_path, monkeypatch,
+                                             capsys):
+    import sftkit.orbit as orbit_mod
+    from sftkit.cli import main
+    check = orbit_mod._verify_pair_on
+    calls = []
+
+    def spy(P, pm, pair):
+        calls.append(pm)
+        return check(P, pm, pair)
+
+    monkeypatch.setattr(orbit_mod, "_verify_pair_on", spy)
+    coe_to_flow_pipeline(std_oe, scoe=True)
+    (tmp_path / "full2.sft").write_text(
+        "sft v1\nvertices 2\nedge 0 0\nedge 0 1\nedge 1 0\nedge 1 1\n")
+    (tmp_path / "pe.oe").write_text("oe v1\ndomain full2.sft\n"
+                                    "codomain full2.sft\nmap 0 -> 10\n"
+                                    "map 10 -> 0\nmap 11 -> 11\n")
+    assert main(["verify-coe", str(tmp_path / "pe.oe")]) == 0
+    assert "verified: true" in capsys.readouterr().out
+    assert calls == []
+    # h.inverse().inverse() is a new PointMap, so its pair is checked
+    twice = std_oe.inverse().inverse()
+    rep = verify_coe(std_oe, derive_cocycle_pair(twice),
+                     derive_cocycle_pair(std_oe.inverse()))
+    assert rep.verified and calls == [std_oe.forward]
