@@ -8,6 +8,9 @@ Presentation files::
     edge 0 1
     # comments allowed
 
+A presentation needs at least one vertex, and each edge is given once:
+vertex shifts have 0/1 adjacency.
+
 Cylinder functions::
 
     fn depth=2
@@ -48,7 +51,7 @@ def parse_presentation(text: str, source="<sft>") -> Presentation:
         n = int(lines[1][1].split()[1])
     except (IndexError, ValueError):
         raise ParseError(source, lines[1][0], "bad vertex count")
-    edges = []
+    edges = set()
     for ln, line in lines[2:]:
         parts = line.split()
         if parts[0] != "edge" or len(parts) != 3:
@@ -59,7 +62,10 @@ def parse_presentation(text: str, source="<sft>") -> Presentation:
             raise ParseError(source, ln, "edge endpoints must be integers")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(source, ln, "edge endpoint out of range")
-        edges.append((u, v))
+        if (u, v) in edges:
+            # vertex shifts have 0/1 adjacency: a second u -> v is no edge
+            raise ParseError(source, ln, f"edge {u} {v} given twice")
+        edges.add((u, v))
     try:
         return Presentation(range(n), edges)
     except Exception as e:
@@ -226,14 +232,15 @@ def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
                                  "compose cycle: " + " -> ".join(cycle))
         return _read_orbit_equivalence(first, opening).compose(
             _read_orbit_equivalence(second, opening))
-    domain = codomain = None
+    sides = {}
     pairs = []
     vmap_rows = []
     for ln, line in body:
-        if line.startswith("domain "):
-            domain = read_presentation(os.path.join(base, line.split(None, 1)[1]))
-        elif line.startswith("codomain "):
-            codomain = read_presentation(os.path.join(base, line.split(None, 1)[1]))
+        if line.startswith(("domain ", "codomain ")):
+            key, name = line.split(None, 1)
+            if key in sides:
+                raise ParseError(path, ln, f"{key} given twice")
+            sides[key] = read_presentation(os.path.join(base, name))
         elif line.startswith("map "):
             rest = line[4:]
             if "->" not in rest:
@@ -247,6 +254,7 @@ def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
             vmap_rows.append((ln, parts[1], parts[2]))
         else:
             raise ParseError(path, ln, f"unknown directive {line!r}")
+    domain, codomain = sides.get("domain"), sides.get("codomain")
     if domain is None or codomain is None:
         raise ParseError(path, 1, "need domain and codomain")
     pairing = {}

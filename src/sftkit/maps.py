@@ -65,12 +65,11 @@ class BlockStage:
                      for i in range(len(w) - self.window + 1))
 
     def apply_point(self, p: EvPerPoint) -> EvPerPoint:
-        np_, nc = len(p.prefix), len(p.cycle)
-        pre = tuple(self.table[p.word_range(n, n + self.window)]
-                    for n in range(np_))
-        cyc = tuple(self.table[p.word_range(n, n + self.window)]
-                    for n in range(np_, np_ + nc))
-        return EvPerPoint.make(self.codomain, pre, cyc)
+        """The image point; the local consistency check in the constructor
+        proved it admissible, so it is only normalised."""
+        np_ = len(p.prefix)
+        img = self.apply_word(p.symbols(np_ + len(p.cycle) + self.anticipation))
+        return EvPerPoint._canonical(self.codomain, img[:np_], img[np_:])
 
     def __repr__(self):
         return f"BlockStage(window={self.window})"
@@ -144,12 +143,14 @@ class PrefixExchangeStage:
         return s if self.vertex_map is None else self.vertex_map[s]
 
     def apply_point(self, p: EvPerPoint) -> EvPerPoint:
+        """The image point; the code and follower checks in the constructor
+        proved it admissible, so it is only normalised."""
         u = self.lookup(p.symbol)
         v = self.pairing[u]
         t = p.shift(len(u))
         pre = v + tuple(self.map_tail_symbol(s) for s in t.prefix)
         cyc = tuple(self.map_tail_symbol(s) for s in t.cycle)
-        return EvPerPoint.make(self.codomain, pre, cyc)
+        return EvPerPoint._canonical(self.codomain, pre, cyc)
 
     def __repr__(self):
         pairs = ",".join(f"{''.join(map(str, u))}~{''.join(map(str, v))}"

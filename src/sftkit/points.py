@@ -8,6 +8,12 @@ equality:
   possible; the cycle's rotation is then forced by the point.
 * BiPoint: both periodic tails are maximal (so the middle is minimal) and
   fully periodic points carry phase 0 with the cycle rotated accordingly.
+
+Admissibility is proven once, where words enter from outside: make checks
+the words it is given.  A point derived from a canonical point (a shift, a
+tail, the image under a map stage) is built canonical directly and is not
+scanned again: the words it reads are already proven, and a stage's
+constructor proved that it maps admissible points to admissible points.
 """
 
 from __future__ import annotations
@@ -40,13 +46,24 @@ class EvPerPoint:
 
     @staticmethod
     def make(P: Presentation, prefix, cycle) -> "EvPerPoint":
-        """Normalize an arbitrary (prefix, cycle) representation."""
+        """Normalize an arbitrary (prefix, cycle) representation, proving
+        it admissible first."""
         prefix, cycle = word(prefix), word(cycle)
         if not cycle:
             raise InadmissibleWord("cycle must be non-empty")
         if not P.is_admissible(prefix + cycle + cycle[:1]):
             raise InadmissibleWord(
                 f"{prefix!r}.{cycle!r}^inf is not admissible")
+        return EvPerPoint._canonical(P, prefix, cycle)
+
+    @staticmethod
+    def _canonical(P: Presentation, prefix: Word, cycle: Word) -> "EvPerPoint":
+        """The canonical form of prefix . cycle^inf, without the scan.
+
+        Only code whose words come from an admissible point, through a map
+        whose constructor proved that it keeps points admissible, may call
+        this; everything else goes through make.
+        """
         cycle = primitive_root(cycle)
         while prefix and prefix[-1] == cycle[-1]:
             prefix = prefix[:-1]
@@ -199,19 +216,24 @@ class BiPoint:
         return tuple(self.symbol(j) for j in range(a, b))
 
     def tail(self, i: int) -> EvPerPoint:
-        """The one-sided point x_[i, infinity)."""
+        """The one-sided point x_[i, infinity), built canonical without make.
+
+        This point is canonical, so right_cycle is primitive and each of
+        its rotations is a canonical periodic tail: that covers the tails
+        that start in the right tail and every tail of a periodic point.
+        Any other tail has a prefix that ends in the middle's last symbol,
+        or, with an empty middle, in left_cycle[-1].  Either differs from
+        right_cycle[-1] (the right tail is maximal; the Fine-Wilf push in
+        make), so the prefix is already minimal.
+        """
         a = i + self.phase
         m = len(self.middle)
-        if a >= m:
-            q = len(self.right_cycle)
-            r = (a - m) % q
-            return EvPerPoint.make(self.presentation, (),
-                                   self.right_cycle[r:] + self.right_cycle[:r])
-        if a >= 0:
-            return EvPerPoint.make(self.presentation, self.middle[a:],
-                                   self.right_cycle)
-        pre = tuple(self._anchor_symbol(t) for t in range(a, 0)) + self.middle
-        return EvPerPoint.make(self.presentation, pre, self.right_cycle)
+        rc = self.right_cycle
+        if a >= m or self.is_periodic():
+            r = (a - m) % len(rc)
+            return EvPerPoint(self.presentation, (), rc[r:] + rc[:r])
+        left = tuple(self._anchor_symbol(t) for t in range(a, 0))
+        return EvPerPoint(self.presentation, left + self.middle[max(a, 0):], rc)
 
     # -- dynamics -------------------------------------------------------------
 

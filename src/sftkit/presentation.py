@@ -37,6 +37,8 @@ class Presentation:
 
     def __init__(self, labels, edges):
         self.labels = tuple(labels)
+        if not self.labels:
+            raise EmptyShift("a presentation needs at least one vertex")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate vertex labels")
         self.edges = frozenset((a, b) for a, b in edges)

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .cohomology import positive_on_cycles
-from .cylinders import CylinderFunction, orbit_sum
+from .cylinders import CylinderFunction
 from .errors import DegenerateN, InadmissibleWord, VerificationFailed
 from .points import BiPoint, EvPerPoint
 from .maps import PointMap
@@ -282,8 +282,9 @@ def bold_varphi(D: FlowMapData, bx: BiPoint) -> BiPoint:
     """
     D._require_positive_cycles()
     n = D.n
-    p = len(bx.left_cycle)
-    Q = orbit_sum(n, bx.left_cycle)
+    profile = WeightProfile(n, bx)
+    p = profile.p
+    Q = profile.pre[p]  # n summed over one left period
     bmax = max(D.b.max_value(), 0)
     W = max(D.h.prefix_needed(Q + bmax), D.b.width())
     clearance = W + n.width() + p
@@ -291,10 +292,11 @@ def bold_varphi(D: FlowMapData, bx: BiPoint) -> BiPoint:
     # `clearance` inside the left-periodic region
     i_star = -(bx.phase + clearance)
     i_star -= (i_star + bx.phase) % p
-    z_star = EvPerPoint.make(bx.presentation, (), bx.left_cycle)
+    # the left cycle of a canonical point is primitive: z* is canonical
+    z_star = EvPerPoint(bx.presentation, (), bx.left_cycle)
     b_star = D.phi(z_star).symbols(Q)
     p_star = D.phi(bx.tail(i_star))
-    m_star = m_eval(n, bx, i_star)
+    m_star = profile.m(i_star)
     img = BiPoint.make(D.codomain, b_star, p_star.prefix, p_star.cycle,
                        -m_star)
     if img.tail(m_star) != p_star:

@@ -235,8 +235,14 @@ def test_cli_rejects_vacuous_or_crashing_arguments(tree, capsys, argv,
     ({"twice.fn": "fn depth=1\n0 1\n1 2\n0 5\n"},
      ["positive", "full2.sft", "--f", "twice.fn"],
      "twice.fn:4: word '0' given twice"),
+    ({"dtwice.oe": "oe v1\ndomain golden.sft\n" + PE[6:]},
+     ["verify-coe", "dtwice.oe"], "dtwice.oe:3: domain given twice"),
+    ({"ctwice.oe": PE.replace("codomain full2.sft\n",
+                              "codomain golden.sft\ncodomain full2.sft\n")},
+     ["verify-coe", "ctwice.oe"], "ctwice.oe:4: codomain given twice"),
 ], ids=["self-composition", "mutual-composition", "repeated-map",
-        "repeated-vmap", "repeated-fn-word"])
+        "repeated-vmap", "repeated-fn-word", "repeated-domain",
+        "repeated-codomain"])
 def test_cli_malformed_input_files_are_input_errors(tree, capsys, monkeypatch,
                                                     files, argv, message):
     """A compose cycle or a word given twice is a parse error (exit 2)
@@ -245,6 +251,29 @@ def test_cli_malformed_input_files_are_input_errors(tree, capsys, monkeypatch,
     for name, text in files.items():
         (tree / name).write_text(text)
     rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sft v1\nvertices 0\n", "v.sft:2: a presentation needs at least one"),
+    ("sft v1\nvertices -2\n", "v.sft:2: a presentation needs at least one"),
+    ("sft v1\nvertices 1\nedge 0 0\nedge 0 0\n",
+     "v.sft:4: edge 0 0 given twice"),
+], ids=["no-vertices", "negative-vertices", "repeated-edge"])
+@pytest.mark.parametrize("argv", [
+    ["invariants"], ["tower", "--f", "const:1"], ["positive", "--f", "const:1"],
+    ["groupoid-check"],
+], ids=["invariants", "tower", "positive", "groupoid-check"])
+def test_cli_malformed_presentations_are_input_errors(tmp_path, capsys, text,
+                                                      message, argv):
+    """A presentation with no vertices, or with an edge given twice (vertex
+    shifts have 0/1 adjacency), is a parse error (exit 2) naming the line,
+    never a vacuous answer or a traceback."""
+    (tmp_path / "v.sft").write_text(text)
+    rc = main([argv[0], str(tmp_path / "v.sft"), *argv[1:]])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sftkit import (
     EvPerPoint,
@@ -20,7 +21,13 @@ from sftkit.maps import (
     minimal_cocycle_on_cylinder,
     verify_cocycle_on_cylinder,
 )
-from sftkit.samples import random_prefix_exchange, random_split_conjugacy
+from sftkit.presentation import Presentation
+from sftkit.samples import (
+    random_prefix_exchange,
+    random_presentation,
+    random_split_conjugacy,
+)
+from tests.test_points import tail_words
 
 
 def test_prefix_exchange_point_examples(full2, std_exchange):
@@ -227,3 +234,67 @@ def test_image_form_needs_the_same_depth_as_the_linear_scan(monkeypatch):
     want = [_outcome(image_form, *case) for case in cases]
     assert got == want
     assert any(isinstance(g, tuple) for g in got)
+
+
+# -- stage outputs are canonical without make -----------------------------
+
+SEEDS = st.integers(0, 2 ** 16)
+
+
+def _relabelled(h):
+    """h's single prefix exchange onto a copy of its domain with every
+    label moved up by 10, so that the stage carries a vertex map."""
+    (stage,) = h.forward.stages
+    P = stage.domain
+    Q = Presentation([a + 10 for a in P.labels],
+                     [(a + 10, b + 10) for a, b in P.edges])
+    pairing = {u: tuple(s + 10 for s in v) for u, v in stage.pairing.items()}
+    return prefix_exchange(P, pairing, Q, {a: a + 10 for a in P.labels})
+
+
+def _raw_image(stage, p):
+    """A raw (prefix, cycle) of stage's image of p, read off the stage's
+    word-level definition: the prefix runs at least one period past where
+    the image turns periodic, and the cycle is that period written twice."""
+    nc = len(p.cycle)
+    if isinstance(stage, BlockStage):
+        k = len(p.prefix) + nc
+        img = stage.apply_word(p.symbols(k + 2 * nc + stage.anticipation))
+    else:
+        (u,) = [u for u in stage.pairing if p.starts_with(u)]
+        v = stage.pairing[u]
+        k = len(v) + len(p.prefix) + nc
+        img = v + tuple(map(stage.map_tail_symbol,
+                            p.word_range(len(u), len(u) + k + 2 * nc)))
+    return img[:k], img[k:k + 2 * nc]
+
+
+def _check_stages(stages, data):
+    for stage in stages:
+        p = EvPerPoint.make(stage.domain, *data.draw(tail_words(stage.domain)))
+        got = stage.apply_point(p)
+        assert got == EvPerPoint.make(stage.codomain, *_raw_image(stage, p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.booleans(), st.data())
+def test_prefix_exchange_output_equals_make_of_its_raw_words(seed, vmap,
+                                                            data):
+    rng = random.Random(seed)
+    try:
+        h = random_prefix_exchange(rng, random_presentation(rng), 2)
+    except InvalidCode:
+        assume(False)
+    pm = _relabelled(h) if vmap else h.forward
+    assert (pm.stages[0].vertex_map is not None) == vmap
+    _check_stages(pm.stages + pm.inverse().stages, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.data())
+def test_block_stage_output_equals_make_of_its_raw_words(seed, data):
+    rng = random.Random(seed)
+    h = random_split_conjugacy(rng, random_presentation(rng), 2).forward
+    assume(h.stages)
+    assert all(isinstance(s, BlockStage) for s in h.stages)
+    _check_stages(h.stages + h.inverse().stages, data)

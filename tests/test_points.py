@@ -303,3 +303,18 @@ def test_bipoint_boundary_push_within_fine_wilf_bound():
                 n = p + q
                 assert bx.word_range(-n, n) == (lc * n)[-n:] + (rc * n)[:n]
     assert min(slack) == 1  # the bound holds, and some pair is extremal
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(two_sided(), two_sided().map(
+    lambda bx: BiPoint.periodic(bx.presentation, bx.left_cycle, bx.phase))))
+def test_tail_equals_make_of_its_raw_words(bx):
+    """tail builds its canonical point without make: it must equal make on
+    a raw representation of the same tail, a prefix that runs a period into
+    the right tail and that period written twice as the cycle."""
+    m, q = len(bx.middle), len(bx.right_cycle)
+    for i in range(-8, 9):
+        k = max(i, m - bx.phase) + q
+        raw = EvPerPoint.make(bx.presentation, bx.word_range(i, k),
+                              bx.word_range(k, k + 2 * q))
+        assert bx.tail(i) == raw
