@@ -148,6 +148,7 @@ def cmd_potential(args):
                      "arcs": [sio.format_word(P, a.tag) for a in res.cycle]},
               [sio.format_negative_cycle(P, res).rstrip()])
         return FALSIFIED
+    _require(res.is_valid_for(W), "potential check")
     lines = [f"{sio.format_word(P, v)} {res.kappa[v]}"
              for v in P.sorted_words(res.kappa)]
     _emit(args, {"result": "potential",

@@ -9,14 +9,17 @@ feasibility, so a shortest-path potential kappa yields the witness pair
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cylinders import CylinderFunction, orbit_sum
 from .errors import InvalidElement, NotPositiveClass, VerificationFailed
 from .presentation import Presentation
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
+    """A weighted arc.  A named tuple: it compares equal to the plain tuple
+    of its fields, and building one per block of a transition graph is
+    cheap."""
     source: object
     target: object
     weight: int
@@ -33,6 +36,15 @@ class WeightedTransitionGraph:
         for a in self.arcs:
             if a.source not in node_set or a.target not in node_set:
                 raise ValueError(f"arc {a} uses unknown node")
+
+    @classmethod
+    def _proven(cls, nodes, arcs) -> "WeightedTransitionGraph":
+        """A graph whose arcs are Arcs between the given nodes by
+        construction: transition_graph's arcs run from w[:m] to w[1:] of an
+        admissible (m+1)-word w, and both are admissible m-words."""
+        W = object.__new__(cls)
+        W.nodes, W.arcs = nodes, arcs
+        return W
 
     def __repr__(self):
         return f"WeightedTransitionGraph({len(self.nodes)} nodes, {len(self.arcs)} arcs)"
@@ -95,11 +107,9 @@ def transition_graph(P: Presentation, f: CylinderFunction) -> WeightedTransition
     """Nodes are the m-blocks, arcs the (m+1)-blocks weighted by f, where
     m = max(depth(f) - 1, 1)."""
     m = max(f.depth - 1, 1)
-    g = f.refine(m + 1)
-    nodes = P.words(m)
-    arcs = [Arc(w[:m], w[1:], g.table[w], w)
-            for w in P.words(m + 1)]
-    return WeightedTransitionGraph(nodes, arcs)
+    weight = f.refine(m + 1).table
+    arcs = [Arc(w[:m], w[1:], weight[w], w) for w in P.words(m + 1)]
+    return WeightedTransitionGraph._proven(P.words(m), arcs)
 
 
 def find_potential(W: WeightedTransitionGraph):
@@ -135,10 +145,11 @@ def find_potential(W: WeightedTransitionGraph):
     for _ in range(len(W.nodes) + 1):
         changed = False
         for a in W.arcs:
-            d = dist[a.source] + a.weight
-            if d < dist[a.target]:
-                dist[a.target] = d
-                pred[a.target] = a
+            s, t, wt, _ = a
+            d = dist[s] + wt
+            if d < dist[t]:
+                dist[t] = d
+                pred[t] = a
                 changed = True
         if not changed:
             return Potential(dict(dist))
@@ -282,19 +293,13 @@ def _solve_difference_system(P: Presentation, f: CylinderFunction, D: int):
         return None  # the equations at this depth cannot express f
     width = max(D, 1)
     nodes = P.words(width)
-    # keyed by the arcs, the (width + 1)-words
+    # keyed by the arcs, the (width + 1)-words w from w[:width] to w[1:]
     arcs = f.refine(width + 1).table
-
-    def src(w):
-        return w[:width]
-
-    def dst(w):
-        return w[1:]
-
     neighbors = {v: [] for v in nodes}
     for w, val in arcs.items():
-        neighbors[src(w)].append((dst(w), -val))   # g(dst) = g(src) - f(w)
-        neighbors[dst(w)].append((src(w), val))    # g(src) = g(dst) + f(w)
+        src, dst = w[:width], w[1:]
+        neighbors[src].append((dst, -val))   # g(dst) = g(src) - f(w)
+        neighbors[dst].append((src, val))    # g(src) = g(dst) + f(w)
 
     g = {}
     for root in nodes:
@@ -313,7 +318,7 @@ def _solve_difference_system(P: Presentation, f: CylinderFunction, D: int):
                     g[u] = val
                     stack.append(u)
     for w, val in arcs.items():
-        if g[src(w)] - g[dst(w)] != val:
+        if g[w[:width]] - g[w[1:]] != val:
             return None
     table = {v: g[v] for v in nodes}
     if D == 0 and len(set(table.values())) > 1:

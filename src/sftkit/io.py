@@ -47,9 +47,13 @@ def parse_presentation(text: str, source="<sft>") -> Presentation:
         raise ParseError(source, 1, "expected header 'sft v1'")
     if len(lines) < 2 or not lines[1][1].startswith("vertices "):
         raise ParseError(source, lines[0][0], "expected 'vertices N'")
+    parts = lines[1][1].split()
+    if len(parts) != 2:
+        raise ParseError(source, lines[1][0],
+                         f"expected 'vertices N', got {lines[1][1]!r}")
     try:
-        n = int(lines[1][1].split()[1])
-    except (IndexError, ValueError):
+        n = int(parts[1])
+    except ValueError:
         raise ParseError(source, lines[1][0], "bad vertex count")
     edges = set()
     for ln, line in lines[2:]:

@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftkit import (
     CylinderFunction,
@@ -61,6 +64,42 @@ def test_transition_graph_examples(full2, gm):
     W2 = transition_graph(gm, g)
     assert {a.tag: a.weight for a in W2.arcs} == \
         {(0, 0): 1, (0, 1): -1, (1, 0): 2}
+
+
+def test_public_graph_rejects_an_arc_to_an_unknown_node():
+    with pytest.raises(ValueError, match="unknown node"):
+        WeightedTransitionGraph(["u", "v"], [("u", "v", 1), ("v", "w", 2)])
+    with pytest.raises(ValueError, match="unknown node"):
+        WeightedTransitionGraph(["u"], [Arc("x", "u", 0)])
+
+
+def test_public_graph_accepts_plain_tuples_as_arcs():
+    W = WeightedTransitionGraph(["u", "v"], [("u", "v", -1),
+                                             ("v", "u", 2, "back")])
+    assert all(isinstance(a, Arc) for a in W.arcs)
+    assert W.arcs == [Arc("u", "v", -1), Arc("v", "u", 2, "back")]
+    assert W.arcs == [("u", "v", -1, None), ("v", "u", 2, "back")]
+    assert W.arcs[0].tag is None and W.arcs[1].tag == "back"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 5))
+def test_transition_graph_is_what_the_public_constructor_accepts(seed, d):
+    """The arcs transition_graph builds without the endpoint scan are the
+    (m+1)-blocks w from w[:m] to w[1:] weighted by f(w), pass that scan,
+    and end in nodes of the graph."""
+    rng = random.Random(seed)
+    P = random_presentation(rng)
+    f = CylinderFunction(P, d, {w: rng.randint(-2, 2) for w in P.words(d)})
+    W = transition_graph(P, f)
+    m = max(d - 1, 1)
+    assert W.nodes == P.words(m)
+    assert W.arcs == [(w[:m], w[1:], f.value_on(w), w)
+                      for w in P.words(m + 1)]
+    public = WeightedTransitionGraph(W.nodes, [tuple(a) for a in W.arcs])
+    assert public.arcs == W.arcs
+    nodes = set(W.nodes)
+    assert all(a.source in nodes and a.target in nodes for a in W.arcs)
 
 
 def test_find_potential_two_node_example():
@@ -290,3 +329,48 @@ def test_solve_coboundary_planted(full2):
 def test_solve_coboundary_obstruction(full2):
     one = CylinderFunction.constant(full2, 1)
     assert solve_coboundary(full2, one, 5) is None
+
+
+def _positivity_pool():
+    """A fixed pool of 40 classes on 2-5 vertex shifts: planted positive
+    classes n + db, coboundaries db and random classes, depth 1-4."""
+    rng = random.Random(2016)
+    pool = []
+    for i in range(40):
+        P = random_presentation(rng, 5, 2)
+        f = random_cylinder_function(rng, P, max_depth=4)
+        if i % 4 == 0:
+            n = random_cylinder_function(rng, P, max_depth=3, lo=0, hi=2)
+            f = n + random_cylinder_function(rng, P, max_depth=3).coboundary()
+        elif i % 4 == 1:
+            f = random_cylinder_function(rng, P, max_depth=3).coboundary()
+        pool.append((P, f))
+    return pool
+
+
+def _table_body(f):
+    return None if f is None else \
+        [f.depth, sorted((repr(w), v) for w, v in f.table.items())]
+
+
+def test_positivity_results_are_pinned():
+    """Verdicts, witnesses (arc by arc), certificates and coboundary
+    solutions on a fixed pool hash to a committed digest, so a change to
+    the graph or the solvers must leave every result byte-identical."""
+    body, verdicts = [], set()
+    for P, f in _positivity_pool():
+        res = class_is_positive(P, f)
+        if isinstance(res, NegativeCycleWitness):
+            item = ["negative", res.total,
+                    [[repr(a.source), repr(a.target), a.weight, repr(a.tag)]
+                     for a in res.cycle]]
+        else:
+            item = ["positive", _table_body(res.witness_b),
+                    _table_body(res.nonneg)]
+        verdicts.add(item[0])
+        body.append(item + [_table_body(solve_coboundary(P, f, 4))])
+    assert verdicts == {"negative", "positive"}
+    assert sum(b[-1] is not None for b in body) >= 10
+    digest = hashlib.sha256(json.dumps(body).encode()).hexdigest()
+    assert digest == \
+        "48b5fe9a9d14088bac43f70e9bb4caae26b439e6c24e08c753588c7dd11a216d"

@@ -262,16 +262,20 @@ def test_cli_malformed_input_files_are_input_errors(tree, capsys, monkeypatch,
     ("sft v1\nvertices -2\n", "v.sft:2: a presentation needs at least one"),
     ("sft v1\nvertices 1\nedge 0 0\nedge 0 0\n",
      "v.sft:4: edge 0 0 given twice"),
-], ids=["no-vertices", "negative-vertices", "repeated-edge"])
+    ("sft v1\nvertices 2 9\nedge 0 0\nedge 0 1\nedge 1 0\n",
+     "v.sft:2: expected 'vertices N', got 'vertices 2 9'"),
+], ids=["no-vertices", "negative-vertices", "repeated-edge",
+        "trailing-vertex-token"])
 @pytest.mark.parametrize("argv", [
     ["invariants"], ["tower", "--f", "const:1"], ["positive", "--f", "const:1"],
     ["groupoid-check"],
 ], ids=["invariants", "tower", "positive", "groupoid-check"])
 def test_cli_malformed_presentations_are_input_errors(tmp_path, capsys, text,
                                                       message, argv):
-    """A presentation with no vertices, or with an edge given twice (vertex
-    shifts have 0/1 adjacency), is a parse error (exit 2) naming the line,
-    never a vacuous answer or a traceback."""
+    """A presentation with no vertices, with a token after the vertex count,
+    or with an edge given twice (vertex shifts have 0/1 adjacency), is a
+    parse error (exit 2) naming the line, never a vacuous answer or a
+    traceback."""
     (tmp_path / "v.sft").write_text(text)
     rc = main([argv[0], str(tmp_path / "v.sft"), *argv[1:]])
     assert rc == 2
@@ -289,6 +293,21 @@ def test_cli_out_to_a_directory_is_an_input_error(tree, capsys, verb, flags):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_cli_potential_checks_kappa_before_printing(tree, capsys,
+                                                   monkeypatch):
+    """A potential with a negative slack is a verification failure (exit 1)
+    with nothing on stdout, not a printed kappa."""
+    from sftkit import cli
+    from sftkit.cohomology import Potential
+    monkeypatch.setattr(cli, "find_potential",
+                        lambda W: Potential(dict.fromkeys(W.nodes, 0)))
+    rc = main(["potential", str(tree / "full2.sft"), "--f", "const:-1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verified false: potential check failed\n"
 
 
 def test_groupoid_check_fails_under_optimize(tree):
