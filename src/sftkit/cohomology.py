@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cylinders import CylinderFunction, orbit_sum
+from .cylinders import CylinderFunction
 from .errors import InvalidElement, NotPositiveClass, VerificationFailed
 from .presentation import Presentation
 
@@ -106,6 +106,8 @@ class PositivityCertificate:
 def transition_graph(P: Presentation, f: CylinderFunction) -> WeightedTransitionGraph:
     """Nodes are the m-blocks, arcs the (m+1)-blocks weighted by f, where
     m = max(depth(f) - 1, 1)."""
+    if f.presentation != P:
+        raise ValueError("operands live on different presentations")
     m = max(f.depth - 1, 1)
     weight = f.refine(m + 1).table
     arcs = [Arc(w[:m], w[1:], weight[w], w) for w in P.words(m + 1)]
@@ -272,25 +274,32 @@ def groupoid_cocycle_eval(g: CylinderFunction, eta) -> int:
 def solve_coboundary(P: Presentation, f: CylinderFunction, max_depth: int):
     """A g with  f = g - g o sigma  of depth <= max_depth, or None.
 
-    For each candidate depth D the equations g(s(w)) - g(r(w)) = f(w) over
-    the (D+1)-block arcs form a difference system; a spanning-forest
-    assignment either extends to a solution or exposes an inconsistency.
-    Cycle sums of f must vanish for any solution to exist, which is checked
-    first as a cheap obstruction.
+    One difference system decides it.  With D = max(depth(f) - 1, 0) and
+    width = max(D, 1), the equations g(w[:width]) - g(w[1:]) = f(w) over the
+    (width + 1)-words w are assigned along a spanning forest of the width
+    graph, and every arc is then checked: the system has a solution exactly
+    when this assignment is one.
+
+    No deeper system can succeed where this one fails.  Let g' solve the
+    equations at a depth D' >= width, and let u, v be D'-words that share
+    their first width symbols.  Walk both back along one common predecessor
+    path p of D' - width steps, which exists because the graph has no
+    sources.  The first D' symbols of p u and p v agree, so g' takes one
+    value on them, and each of the D' - width values of f on the way reads
+    at most width + 1 symbols, all inside that common prefix.  Summing the
+    equations along the walks gives g'(u) = g'(v).  Every solution
+    therefore descends to depth width, so no ladder of depths is needed,
+    and the vanishing cycle sums that every solvable f has need no
+    separate check.
+
+    A solution at depth 0 must be constant; a non-constant one of the
+    width-1 system is returned at depth 1 when max_depth allows it.
     """
-    for c in P.simple_cycles():
-        if orbit_sum(f, c) != 0:
-            return None
-    for D in range(max(f.depth - 1, 0), max_depth + 1):
-        g = _solve_difference_system(P, f, D)
-        if g is not None:
-            return g
-    return None
-
-
-def _solve_difference_system(P: Presentation, f: CylinderFunction, D: int):
-    if f.depth > D + 1:
-        return None  # the equations at this depth cannot express f
+    if f.presentation != P:
+        raise ValueError("operands live on different presentations")
+    D = max(f.depth - 1, 0)
+    if D > max_depth:
+        return None
     width = max(D, 1)
     nodes = P.words(width)
     # keyed by the arcs, the (width + 1)-words w from w[:width] to w[1:]
@@ -322,5 +331,5 @@ def _solve_difference_system(P: Presentation, f: CylinderFunction, D: int):
             return None
     table = {v: g[v] for v in nodes}
     if D == 0 and len(set(table.values())) > 1:
-        return None  # a depth-0 solution must be constant
-    return CylinderFunction(P, D, table)
+        D = 1
+    return CylinderFunction(P, D, table) if D <= max_depth else None

@@ -249,8 +249,9 @@ def find_scoe_transfer(h: OrbitEquivalence, pair: CocyclePair,
                        max_depth: int = 8):
     """A transfer function b with l - k = 1 + b - b o sigma, or None.
 
-    The orbit-sum obstruction (every cycle sum of l - k must equal the
-    cycle length) is checked first inside the coboundary solver.
+    Every cycle sum of l - k then equals the cycle length; the coboundary
+    solver needs no separate check of this, since its one difference
+    system decides whether l - k - 1 is a coboundary.
     """
     return solve_coboundary(h.domain, pair.difference() - 1, max_depth)
 

@@ -14,9 +14,11 @@ from sftkit import (
     groupoid_cocycle_eval,
     make_element,
     orbit_sum,
+    positive_on_cycles,
     solve_coboundary,
     transition_graph,
 )
+from sftkit import cohomology, cylinders
 from sftkit.cohomology import (
     Arc,
     NegativeCycleWitness,
@@ -25,6 +27,7 @@ from sftkit.cohomology import (
     WeightedTransitionGraph,
 )
 from sftkit.errors import NotPositiveClass
+from sftkit.presentation import Presentation
 from sftkit.samples import random_cylinder_function, random_presentation
 
 
@@ -329,6 +332,166 @@ def test_solve_coboundary_planted(full2):
 def test_solve_coboundary_obstruction(full2):
     one = CylinderFunction.constant(full2, 1)
     assert solve_coboundary(full2, one, 5) is None
+
+
+def _ladder_solve_coboundary(P, f, max_depth):
+    """Reference: the cycle-sum obstruction over every simple cycle, then a
+    ladder of difference systems from max(depth(f) - 1, 0) to max_depth."""
+    for c in P.simple_cycles():
+        if orbit_sum(f, c) != 0:
+            return None
+    for D in range(max(f.depth - 1, 0), max_depth + 1):
+        g = _ladder_difference_system(P, f, D)
+        if g is not None:
+            return g
+    return None
+
+
+def _ladder_difference_system(P, f, D):
+    if f.depth > D + 1:
+        return None  # the equations at this depth cannot express f
+    width = max(D, 1)
+    nodes = P.words(width)
+    # keyed by the arcs, the (width + 1)-words w from w[:width] to w[1:]
+    arcs = f.refine(width + 1).table
+    neighbors = {v: [] for v in nodes}
+    for w, val in arcs.items():
+        src, dst = w[:width], w[1:]
+        neighbors[src].append((dst, -val))   # g(dst) = g(src) - f(w)
+        neighbors[dst].append((src, val))    # g(src) = g(dst) + f(w)
+
+    g = {}
+    for root in nodes:
+        if root in g:
+            continue
+        g[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u, delta in neighbors[v]:
+                val = g[v] + delta
+                if u in g:
+                    if g[u] != val:
+                        return None
+                else:
+                    g[u] = val
+                    stack.append(u)
+    for w, val in arcs.items():
+        if g[w[:width]] - g[w[1:]] != val:
+            return None
+    table = {v: g[v] for v in nodes}
+    if D == 0 and len(set(table.values())) > 1:
+        return None  # a depth-0 solution must be constant
+    return CylinderFunction(P, D, table)
+
+
+def _depth_one_coboundary(rng, P):
+    """A depth-1 f = g - g o sigma with g of depth 1.  That needs g constant
+    on the successors of each vertex, so g takes one random value on each
+    class of the relation "shares a predecessor"."""
+    rep = {v: v for v in P.labels}
+
+    def root(v):
+        while rep[v] != v:
+            v = rep[v]
+        return v
+
+    for a, b in P.words(2):
+        for a2, c in P.words(2):
+            if a2 == a:
+                rep[root(b)] = root(c)
+    value = {v: rng.randint(-2, 2) for v in P.labels}
+    g = {v: value[root(v)] for v in P.labels}
+    return CylinderFunction(P, 1, {(a,): g[a] - g[b] for a, b in P.words(2)})
+
+
+def _coboundary_pool(n):
+    """n seeded classes on 1-5 vertex shifts, many of them reducible:
+    random classes, coboundaries, constants, coboundaries perturbed on one
+    word and depth-1 coboundaries."""
+    rng = random.Random(2018)
+    for i in range(n):
+        P = random_presentation(rng, 5, 1)
+        kind = i % 5
+        if kind == 0:
+            f = random_cylinder_function(rng, P, max_depth=3)
+        elif kind == 1:
+            f = random_cylinder_function(rng, P, max_depth=3).coboundary()
+        elif kind == 2:
+            f = CylinderFunction.constant(P, rng.randint(-1, 1))
+        elif kind == 3:
+            f = random_cylinder_function(rng, P, max_depth=2).coboundary()
+            table = dict(f.table)
+            table[rng.choice(sorted(table))] += rng.choice((-1, 1))
+            f = CylinderFunction(P, f.depth, table)
+        else:
+            f = _depth_one_coboundary(rng, P)
+        yield P, f
+
+
+def test_solve_coboundary_matches_the_ladder_oracle():
+    """One difference system at depth max(depth(f) - 1, 0) gives exactly the
+    result of the obstruction and the whole ladder of depths."""
+    seen = set()
+    for P, f in _coboundary_pool(2000):
+        zero_sums = all(orbit_sum(f, c) == 0 for c in P.simple_cycles())
+        for max_depth in (0, 1, 2, 3, 5):
+            want = _ladder_solve_coboundary(P, f, max_depth)
+            assert _table_body(solve_coboundary(P, f, max_depth)) == \
+                _table_body(want)
+            if want is None:
+                seen.add("zero cycle sums, no coboundary" if zero_sums
+                         else "obstructed")
+            else:
+                seen.add(f"depth {want.depth} from depth {f.depth}")
+    assert {"zero cycle sums, no coboundary", "obstructed",
+            "depth 0 from depth 0", "depth 1 from depth 1",
+            "depth 3 from depth 4"} <= seen
+
+
+def test_zero_cycle_sums_need_not_make_a_coboundary():
+    """a -> a, a -> b, a -> c, b -> c, c -> c: the block ab lies on no
+    cycle, so f = 1 on it has every periodic orbit sum 0, yet
+    g(a) - g(b) = 1 contradicts g(a) = g(c) = g(b) at every depth."""
+    P = Presentation(["a", "b", "c"], [("a", "a"), ("a", "b"), ("a", "c"),
+                                       ("b", "c"), ("c", "c")])
+    f = CylinderFunction(P, 2, {w: int(w == ("a", "b"))
+                                for w in P.words(2)})
+    assert all(orbit_sum(f, c) == 0 for c in P.simple_cycles())
+    for max_depth in range(7):
+        assert solve_coboundary(P, f, max_depth) is None
+
+
+def test_solve_coboundary_enumerates_no_cycles(full2, monkeypatch):
+    def boom(*args):
+        raise AssertionError("cycle enumeration called")
+
+    monkeypatch.setattr(Presentation, "simple_cycles", boom)
+    monkeypatch.setattr(cohomology, "orbit_sum", boom, raising=False)
+    monkeypatch.setattr(cylinders, "orbit_sum", boom)
+    g = CylinderFunction.from_values(
+        full2, {"00": 3, "01": -1, "10": 0, "11": 2})
+    h = solve_coboundary(full2, g.coboundary(), 4)
+    assert h is not None and h.depth == 2
+    assert h.coboundary() == g.coboundary()
+
+
+def test_functions_on_another_presentation_are_rejected(full2, gm):
+    g = CylinderFunction.from_values(
+        full2, {"00": 1, "01": 1, "10": 1, "11": 0})
+    h_gm = CylinderFunction.constant(gm, 1)
+    assert positive_on_cycles(full2, g) is False
+    calls = [lambda: positive_on_cycles(gm, g),
+             lambda: positive_on_cycles(full2, h_gm),
+             lambda: class_is_positive(gm, g),
+             lambda: class_is_positive(full2, h_gm),
+             lambda: decompose_positive(gm, g),
+             lambda: transition_graph(full2, h_gm),
+             lambda: solve_coboundary(gm, g, 3),
+             lambda: solve_coboundary(full2, h_gm, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="different presentations"):
+            call()
 
 
 def _positivity_pool():
