@@ -14,16 +14,17 @@ Each stage keeps, as `inverse`, the inverse stage its constructor proved;
 a PointMap reads its inverse off its stages and nothing re-checks it.
 
 Besides acting on points, maps act /symbolically/ on cylinders: for every
-point x in Z(w) the image h(x) has the shape  W . C(sigma^m(x))  where W is
-an explicit word and C is a chain of block maps (block maps commute with
-the shift, which is what keeps this calculus closed).  The symbolic form is
-what makes cocycle derivation and verification exact.
+point x in Z(w) the image h(x) has the shape  W . T(sigma^m(x))  where W is
+an explicit word and T is a chain of block maps (block maps commute with
+the shift, which is what keeps this calculus closed).  Over Z(w) the chain
+is held as the one word T(w), computed stage by stage, so a symbol of the
+image is read off W or T(w), or is known to need a longer cylinder.  The
+symbolic form is what makes cocycle derivation and verification exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import InadmissibleWord, InvalidCode, NeedDepth
 from .points import EvPerPoint
@@ -270,67 +271,57 @@ def relabel_map(domain, codomain, mapping) -> PointMap:
 
 @dataclass(frozen=True)
 class SymImage:
-    """For all x in Z(base): the represented point is  W . chain(sigma^m x).
+    """For all x in Z(base): the represented point is  W . T(sigma^m x).
 
-    `chain` is a tuple of BlockStage; block maps commute with the shift, so
-    shifting and symbol lookup stay exact.
+    T is the chain of block maps image_form met (block maps commute with
+    the shift), `tail` is the word T(base) and `lookahead` the summed
+    anticipation of T, so T(x)[j] is tail[j] for every x in Z(base) when
+    j < len(tail), and needs a cylinder of length j + 1 + lookahead
+    otherwise.
     """
 
     prefix: Word
-    chain: tuple
+    tail: Word
     shift: int
+    lookahead: int
 
     @property
     def offset(self) -> int:
         return len(self.prefix) - self.shift
 
     def shifted(self, k: int) -> "SymImage":
-        if k <= len(self.prefix):
-            return SymImage(self.prefix[k:], self.chain, self.shift)
-        return SymImage((), self.chain, self.shift + k - len(self.prefix))
+        cut = min(k, len(self.prefix))
+        return SymImage(self.prefix[cut:], self.tail, self.shift + k - cut,
+                        self.lookahead)
 
-    def rebased(self, extra: int) -> "SymImage":
-        """Reinterpret an image of sigma^extra(x) as an image over x."""
-        return SymImage(self.prefix, self.chain, self.shift + extra)
-
-    def symbol(self, base: Word, i: int):
-        """Symbol i of the represented point, for all x in Z(base)."""
+    def symbol(self, i: int):
+        """Symbol i of the represented point, for all x in Z(base), or
+        NeedDepth."""
         if i < len(self.prefix):
             return self.prefix[i]
-        return _chain_symbol(self.chain, base,
-                             self.shift + i - len(self.prefix))
+        j = self.shift + i - len(self.prefix)
+        if j < len(self.tail):
+            return self.tail[j]
+        raise NeedDepth(j + 1 + self.lookahead)
 
 
-def _chain_ant(chain) -> int:
-    return sum(st.anticipation for st in chain)
-
-
-def _chain_symbol(chain, base: Word, idx: int):
-    """chain(x)[idx] for x in Z(base), or NeedDepth."""
-    need = idx + 1 + _chain_ant(chain)
-    if len(base) < need:
-        raise NeedDepth(need)
-    w = base
-    for st in chain:
-        w = st.apply_word(w)
-    return w[idx]
-
-
-def image_form(stages, base: Word, P: Presentation) -> SymImage:
+def image_form(stages, base: Word) -> SymImage:
     """Symbolic image of every x in Z(base) under the stage pipeline.
 
     Raises NeedDepth(n) when Z(base) does not determine the image shape;
     retry with cylinders of length n.
     """
-    W, chain, m = (), (), 0
+    W, tail, m, ahead = (), base, 0, 0
     for st in stages:
+        S = SymImage(W, tail, m, ahead)
         if isinstance(st, BlockStage):
             a = st.anticipation
-            ext = W + tuple(_chain_symbol(chain, base, m + t) for t in range(a))
+            ext = W + tuple(S.symbol(len(W) + t) for t in range(a))
             W = tuple(st.table[ext[i:i + st.window]] for i in range(len(W)))
-            chain = chain + (st,)
+            tail = st.apply_word(tail)
+            ahead += a
         else:
-            u = st.lookup(partial(SymImage(W, chain, m).symbol, base))
+            u = st.lookup(S.symbol)
             v = st.pairing[u]
             if len(u) <= len(W):
                 rest = tuple(st.map_tail_symbol(s) for s in W[len(u):])
@@ -339,44 +330,35 @@ def image_form(stages, base: Word, P: Presentation) -> SymImage:
                 m += len(u) - len(W)
                 W = v
             if st.pi_stage is not None:
-                chain = chain + (st.pi_stage,)
-    return SymImage(W, chain, m)
+                tail = st.pi_stage.apply_word(tail)
+    return SymImage(W, tail, m, ahead)
 
 
-def _chains_match(c1, c2) -> bool:
-    return len(c1) == len(c2) and all(a is b for a, b in zip(c1, c2))
+def _cocycle_sides(stages, base: Word):
+    """The symbolic images of x and of sigma(x), both over x in Z(base).
 
-
-def sides_agree(S1: SymImage, S2: SymImage, base: Word):
-    """Exact comparison of two symbolic tails over a common cylinder.
-
-    Returns (True, None) when the represented points coincide for every
-    x in Z(base); otherwise (False, reason).  Conservative: tails carried
-    by different chains or at different alignments are reported unequal.
+    T does not depend on the cylinder and T(sigma x) is T(x) shifted by
+    one, so the image of sigma(x) reads x's tail one symbol further on.
     """
-    if not _chains_match(S1.chain, S2.chain):
-        return False, "different tail transforms"
-    if S1.offset != S2.offset:
-        return False, f"misaligned tails ({S1.offset} vs {S2.offset})"
-    for p in range(max(len(S1.prefix), len(S2.prefix))):
-        a = S1.symbol(base, p)
-        b = S2.symbol(base, p)
-        if a != b:
-            return False, f"symbols differ at position {p}: {a!r} vs {b!r}"
-    return True, None
-
-
-def _cocycle_sides(stages, base: Word, P: Presentation):
-    """The symbolic images of x and of sigma(x), both over x in Z(base)."""
-    S_x = image_form(stages, base, P)
+    S_x = image_form(stages, base)
     try:
-        S_sx = image_form(stages, base[1:], P).rebased(1)
+        S = image_form(stages, base[1:])
     except NeedDepth as e:
         raise NeedDepth(e.needed + 1)
-    return S_x, S_sx
+    return S_x, SymImage(S.prefix, S_x.tail, S.shift + 1, S.lookahead)
 
 
-def minimal_cocycle_on_cylinder(stages, base: Word, P: Presentation):
+def _mismatches(A: SymImage, B: SymImage):
+    """(p, a, b) for each position p of the longer prefix where A reads a
+    and B reads b != a; positions past both prefixes read equal tails when
+    the offsets agree."""
+    for p in range(max(len(A.prefix), len(B.prefix))):
+        a, b = A.symbol(p), B.symbol(p)
+        if a != b:
+            yield p, a, b
+
+
+def minimal_cocycle_on_cylinder(stages, base: Word):
     """Least (k, l) with sigma^k(h(sigma x)) = sigma^l(h(x)) on Z(base).
 
     The alignment of the two symbolic tails forces l - k; the least shift
@@ -385,23 +367,25 @@ def minimal_cocycle_on_cylinder(stages, base: Word, P: Presentation):
     """
     if len(base) < 1:
         raise NeedDepth(1)
-    S_x, S_sx = _cocycle_sides(stages, base, P)
+    S_x, S_sx = _cocycle_sides(stages, base)
     delta = S_x.offset - S_sx.offset
     k0 = max(0, -delta)
     l0 = k0 + delta
-    A = S_sx.shifted(k0)
-    B = S_x.shifted(l0)
-    if not _chains_match(A.chain, B.chain):
-        raise InvalidCode("stage pipeline produced mismatched tail transforms")
-    last_bad = -1
-    for p in range(max(len(A.prefix), len(B.prefix))):
-        if A.symbol(base, p) != B.symbol(base, p):
-            last_bad = p
-    c = last_bad + 1
+    mismatches = _mismatches(S_sx.shifted(k0), S_x.shifted(l0))
+    c = 1 + max((p for p, _, _ in mismatches), default=-1)
     return k0 + c, l0 + c
 
 
-def verify_cocycle_on_cylinder(stages, base: Word, P: Presentation, k: int, l: int):
-    """Check sigma^k(h(sigma x)) = sigma^l(h(x)) for all x in Z(base)."""
-    S_x, S_sx = _cocycle_sides(stages, base, P)
-    return sides_agree(S_sx.shifted(k), S_x.shifted(l), base)
+def verify_cocycle_on_cylinder(stages, base: Word, k: int, l: int):
+    """Check sigma^k(h(sigma x)) = sigma^l(h(x)) for all x in Z(base).
+
+    Returns (True, None) when the two sides coincide on Z(base), otherwise
+    (False, reason).
+    """
+    S_x, S_sx = _cocycle_sides(stages, base)
+    A, B = S_sx.shifted(k), S_x.shifted(l)
+    if A.offset != B.offset:
+        return False, f"misaligned tails ({A.offset} vs {B.offset})"
+    for p, a, b in _mismatches(A, B):
+        return False, f"symbols differ at position {p}: {a!r} vs {b!r}"
+    return True, None

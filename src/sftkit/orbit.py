@@ -19,7 +19,12 @@ from .cohomology import (
     solve_coboundary,
 )
 from .cylinders import CylinderFunction, orbit_sum
-from .errors import DepthExceeded, LeastPeriodViolation, NeedDepth
+from .errors import (
+    DepthExceeded,
+    LeastPeriodViolation,
+    NeedDepth,
+    VerificationFailed,
+)
 from .maps import (
     PointMap,
     minimal_cocycle_on_cylinder,
@@ -116,7 +121,7 @@ def derive_cocycle_pair(h: OrbitEquivalence, max_depth: int = 12) -> CocyclePair
     while work:
         w = work.pop()
         try:
-            resolved[w] = minimal_cocycle_on_cylinder(stages, w, P)
+            resolved[w] = minimal_cocycle_on_cylinder(stages, w)
         except NeedDepth as e:
             if e.needed > max_depth:
                 raise DepthExceeded(
@@ -137,30 +142,33 @@ def _verify_pair_on(P: Presentation, pm: PointMap, pair: CocyclePair):
     """Exhaustive symbolic Eq-check of a pair at its depth.
 
     Returns a list of failures (cylinder, reason, counterexample point).
-    Cylinders are refined by up to 8 symbols when the comparison needs
-    more; the pair's values stay those of the governing cylinder.  When no
-    vertex from w[-1] on branches, Z(w) is one point, which settles it.
+    Cylinders are refined while the comparison needs more symbols; the
+    pair's values stay those of the governing cylinder.  The comparison
+    reads only symbols that minimal_cocycle_on_cylinder reads, so the
+    refinement ends by the depth of the pair derived for pm (DepthExceeded
+    when that derivation stalls).  When only one walk leaves w[-1], Z(w)
+    is one point, which settles it.
     """
     failures = []
     d = pair.depth
+    bound = max(d, derive_cocycle_pair(OrbitEquivalence(pm)).depth)
     for w0 in P.words(max(d, 1)):
         k, l = pair.k.value_on(w0), pair.l.value_on(w0)
         work = [w0]
         while work:
             w = work.pop()
             try:
-                ok, reason = verify_cocycle_on_cylinder(pm.stages, w, P, k, l)
+                ok, reason = verify_cocycle_on_cylinder(pm.stages, w, k, l)
             except NeedDepth as e:
-                if e.needed > len(w0) + 8:
-                    failures.append((w0, "undetermined within slack", None))
-                    continue
+                if e.needed > bound:
+                    raise VerificationFailed(
+                        f"cylinder {w!r} needs depth {e.needed}, past the "
+                        f"derived depth {bound}")
                 work.extend(P.extensions(w))
                 continue
             if not ok:
                 x = _counterexample(P, pm, w, k, l)
-                ahead = P.reachable(w[-1]) | {w[-1]}
-                if x is not None or any(len(P.out_neighbors(v)) > 1
-                                        for v in ahead):
+                if x is not None or not P.is_forced(w[-1]):
                     failures.append((w, reason, x))
     return failures
 

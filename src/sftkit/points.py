@@ -123,18 +123,7 @@ def is_isolated(P: Presentation, p: EvPerPoint) -> bool:
     isolated exactly when every vertex reachable from the cycle has
     out-degree one (the continuation is then forced).
     """
-    seen = set()
-    stack = [p.cycle[-1]]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        nxt = P.out_neighbors(v)
-        if len(nxt) != 1:
-            return False
-        stack.append(nxt[0])
-    return True
+    return P.is_forced(p.cycle[-1])
 
 
 @dataclass(frozen=True)

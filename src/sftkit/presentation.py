@@ -185,6 +185,11 @@ class Presentation:
                     stack.append(b)
         return seen
 
+    def is_forced(self, v):
+        """Whether only one walk leaves `v`: `v` and every vertex it reaches
+        have a single successor."""
+        return all(len(self._out[u]) == 1 for u in self.reachable(v) | {v})
+
     def poor_cycles(self):
         """The cycle of each strongly connected component that is a single
         cycle and reaches only such components, as cycles() lists them.

@@ -1,4 +1,6 @@
 import random
+from dataclasses import dataclass
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +23,7 @@ from sftkit.maps import (
     minimal_cocycle_on_cylinder,
     verify_cocycle_on_cylinder,
 )
-from sftkit.presentation import Presentation
+from sftkit.presentation import Presentation, Word
 from sftkit.samples import (
     random_prefix_exchange,
     random_presentation,
@@ -138,8 +140,9 @@ def test_a_stage_without_a_proven_inverse_is_rejected(full2):
 
 
 def test_double_inverse_holds_the_same_stages(full2, gm, std_exchange):
-    # _chains_match compares stages by identity, so h and its double
-    # inverse must share the stage objects, not equal copies
+    # h and its double inverse must share the stage objects, not equal
+    # copies: a stage's constructor proves the inverse it holds, and a pair
+    # proven for a PointMap is recognised by identity
     from sftkit.presentation import higher_block
     Q, _ = higher_block(gm, 2)
     conj = sliding_block_conjugacy(gm, Q, {w: w for w in gm.language(2)},
@@ -155,23 +158,23 @@ def test_double_inverse_holds_the_same_stages(full2, gm, std_exchange):
 
 def test_minimal_cocycles_match_hand_values(full2, std_exchange):
     stages = std_exchange.stages
-    assert minimal_cocycle_on_cylinder(stages, word("00"), full2) == (1, 2)
-    assert minimal_cocycle_on_cylinder(stages, word("010"), full2) == (0, 3)
-    assert minimal_cocycle_on_cylinder(stages, word("10"), full2) == (1, 0)
-    assert minimal_cocycle_on_cylinder(stages, word("111"), full2) == (0, 1)
+    assert minimal_cocycle_on_cylinder(stages, word("00")) == (1, 2)
+    assert minimal_cocycle_on_cylinder(stages, word("010")) == (0, 3)
+    assert minimal_cocycle_on_cylinder(stages, word("10")) == (1, 0)
+    assert minimal_cocycle_on_cylinder(stages, word("111")) == (0, 1)
 
 
 def test_verify_cocycle_detects_wrong_pair(full2, std_exchange):
     stages = std_exchange.stages
-    ok, _ = verify_cocycle_on_cylinder(stages, word("111"), full2, 0, 1)
+    ok, _ = verify_cocycle_on_cylinder(stages, word("111"), 0, 1)
     assert ok
-    bad, reason = verify_cocycle_on_cylinder(stages, word("111"), full2, 0, 2)
+    bad, reason = verify_cocycle_on_cylinder(stages, word("111"), 0, 2)
     assert not bad and reason
 
 
-def test_identity_image_form(full2):
-    S = image_form((), word("01"), full2)
-    assert (S.prefix, S.chain, S.shift) == ((), (), 0)
+def test_identity_image_form():
+    S = image_form((), word("01"))
+    assert (S.prefix, S.tail, S.shift, S.lookahead) == ((), word("01"), 0, 0)
 
 
 def _lookup_by_scan(st, sym):
@@ -228,12 +231,202 @@ def test_image_form_needs_the_same_depth_as_the_linear_scan(monkeypatch):
     for h in _random_maps():
         for n in (1, 2, 3):
             for base in sorted(h.domain.language(n), key=str):
-                cases.append((h.stages, base, h.domain))
+                cases.append((h.stages, base))
     got = [_outcome(image_form, *case) for case in cases]
     monkeypatch.setattr(PrefixExchangeStage, "lookup", _lookup_by_scan)
     want = [_outcome(image_form, *case) for case in cases]
     assert got == want
     assert any(isinstance(g, tuple) for g in got)
+
+
+# -- the chain-based calculus, kept as the reference ------------------------
+#
+# The symbolic images as they were first written: the tail is a tuple of
+# block stages, re-applied to the whole base word for every symbol read.
+
+@dataclass(frozen=True)
+class ChainImage:
+    """For all x in Z(base): the represented point is  W . chain(sigma^m x).
+
+    `chain` is a tuple of BlockStage; block maps commute with the shift, so
+    shifting and symbol lookup stay exact.
+    """
+
+    prefix: Word
+    chain: tuple
+    shift: int
+
+    @property
+    def offset(self) -> int:
+        return len(self.prefix) - self.shift
+
+    def shifted(self, k: int) -> "ChainImage":
+        if k <= len(self.prefix):
+            return ChainImage(self.prefix[k:], self.chain, self.shift)
+        return ChainImage((), self.chain, self.shift + k - len(self.prefix))
+
+    def rebased(self, extra: int) -> "ChainImage":
+        """Reinterpret an image of sigma^extra(x) as an image over x."""
+        return ChainImage(self.prefix, self.chain, self.shift + extra)
+
+    def symbol(self, base: Word, i: int):
+        """Symbol i of the represented point, for all x in Z(base)."""
+        if i < len(self.prefix):
+            return self.prefix[i]
+        return _chain_symbol(self.chain, base,
+                             self.shift + i - len(self.prefix))
+
+
+def _chain_ant(chain) -> int:
+    return sum(st.anticipation for st in chain)
+
+
+def _chain_symbol(chain, base: Word, idx: int):
+    """chain(x)[idx] for x in Z(base), or NeedDepth."""
+    need = idx + 1 + _chain_ant(chain)
+    if len(base) < need:
+        raise NeedDepth(need)
+    w = base
+    for st in chain:
+        w = st.apply_word(w)
+    return w[idx]
+
+
+def chain_image_form(stages, base: Word, P: Presentation) -> ChainImage:
+    """Symbolic image of every x in Z(base) under the stage pipeline.
+
+    Raises NeedDepth(n) when Z(base) does not determine the image shape;
+    retry with cylinders of length n.
+    """
+    W, chain, m = (), (), 0
+    for st in stages:
+        if isinstance(st, BlockStage):
+            a = st.anticipation
+            ext = W + tuple(_chain_symbol(chain, base, m + t) for t in range(a))
+            W = tuple(st.table[ext[i:i + st.window]] for i in range(len(W)))
+            chain = chain + (st,)
+        else:
+            u = st.lookup(partial(ChainImage(W, chain, m).symbol, base))
+            v = st.pairing[u]
+            if len(u) <= len(W):
+                rest = tuple(st.map_tail_symbol(s) for s in W[len(u):])
+                W = v + rest
+            else:
+                m += len(u) - len(W)
+                W = v
+            if st.pi_stage is not None:
+                chain = chain + (st.pi_stage,)
+    return ChainImage(W, chain, m)
+
+
+def _chains_match(c1, c2) -> bool:
+    return len(c1) == len(c2) and all(a is b for a, b in zip(c1, c2))
+
+
+def sides_agree(S1: ChainImage, S2: ChainImage, base: Word):
+    """Exact comparison of two symbolic tails over a common cylinder.
+
+    Returns (True, None) when the represented points coincide for every
+    x in Z(base); otherwise (False, reason).  Conservative: tails carried
+    by different chains or at different alignments are reported unequal.
+    """
+    if not _chains_match(S1.chain, S2.chain):
+        return False, "different tail transforms"
+    if S1.offset != S2.offset:
+        return False, f"misaligned tails ({S1.offset} vs {S2.offset})"
+    for p in range(max(len(S1.prefix), len(S2.prefix))):
+        a = S1.symbol(base, p)
+        b = S2.symbol(base, p)
+        if a != b:
+            return False, f"symbols differ at position {p}: {a!r} vs {b!r}"
+    return True, None
+
+
+def _chain_cocycle_sides(stages, base: Word, P: Presentation):
+    """The symbolic images of x and of sigma(x), both over x in Z(base)."""
+    S_x = chain_image_form(stages, base, P)
+    try:
+        S_sx = chain_image_form(stages, base[1:], P).rebased(1)
+    except NeedDepth as e:
+        raise NeedDepth(e.needed + 1)
+    return S_x, S_sx
+
+
+def chain_minimal_cocycle(stages, base: Word, P: Presentation):
+    """Least (k, l) with sigma^k(h(sigma x)) = sigma^l(h(x)) on Z(base).
+
+    The alignment of the two symbolic tails forces l - k; the least shift
+    that clears every symbol mismatch gives minimality.  NeedDepth
+    propagates when Z(base) is too coarse.
+    """
+    if len(base) < 1:
+        raise NeedDepth(1)
+    S_x, S_sx = _chain_cocycle_sides(stages, base, P)
+    delta = S_x.offset - S_sx.offset
+    k0 = max(0, -delta)
+    l0 = k0 + delta
+    A = S_sx.shifted(k0)
+    B = S_x.shifted(l0)
+    if not _chains_match(A.chain, B.chain):
+        raise InvalidCode("stage pipeline produced mismatched tail transforms")
+    last_bad = -1
+    for p in range(max(len(A.prefix), len(B.prefix))):
+        if A.symbol(base, p) != B.symbol(base, p):
+            last_bad = p
+    c = last_bad + 1
+    return k0 + c, l0 + c
+
+
+def chain_verify_cocycle(stages, base: Word, P: Presentation, k: int, l: int):
+    """Check sigma^k(h(sigma x)) = sigma^l(h(x)) for all x in Z(base)."""
+    S_x, S_sx = _chain_cocycle_sides(stages, base, P)
+    return sides_agree(S_sx.shifted(k), S_x.shifted(l), base)
+
+
+def _oracle_maps():
+    """Seeded prefix exchanges with and without a vertex map, split
+    conjugacies and composites of both, each with its inverse."""
+    rng = random.Random(19)
+    maps = []
+    for P in (full_shift(2), full_shift(3), golden_mean()):
+        for _ in range(3):
+            h = random_prefix_exchange(rng, P, 2)
+            maps += [h.forward, _relabelled(h)]
+    for P in (full_shift(2), full_shift(3), golden_mean()):
+        split = random_split_conjugacy(rng, P, 3)
+        pe = random_prefix_exchange(rng, split.codomain, 2)
+        relabelled = _relabelled(random_prefix_exchange(rng, P, 2))
+        out = random_split_conjugacy(rng, relabelled.codomain, 1)
+        if out.domain != relabelled.codomain:
+            out = out.inverse()
+        maps += [split.forward, split.compose(pe).forward,
+                 pe.forward.then(split.inverse().forward),
+                 relabelled.then(out.forward)]
+    return maps + [pm.inverse() for pm in maps]
+
+
+def test_tail_words_match_the_chain_reference():
+    """minimal and verify give the chain-based calculus's results, reasons
+    and NeedDepth amounts on every cylinder of length 1-3."""
+    seen = set()
+    for pm in _oracle_maps():
+        for n in (1, 2, 3):
+            for base in pm.domain.words(n):
+                got = _outcome(minimal_cocycle_on_cylinder, pm.stages, base)
+                assert got == _outcome(chain_minimal_cocycle, pm.stages,
+                                       base, pm.domain)
+                seen.add(("minimal", got[0] == "NeedDepth"))
+                for k in range(4):
+                    for l in range(4):
+                        got = _outcome(verify_cocycle_on_cylinder,
+                                       pm.stages, base, k, l)
+                        assert got == _outcome(chain_verify_cocycle,
+                                               pm.stages, base, pm.domain,
+                                               k, l)
+                        seen.add(got[0] if got[0] in (True, "NeedDepth")
+                                 else got[1].split(" ")[0])
+    assert seen == {("minimal", False), ("minimal", True), True, "NeedDepth",
+                    "misaligned", "symbols"}
 
 
 # -- stage outputs are canonical without make -----------------------------

@@ -14,6 +14,7 @@ from sftkit import (
     find_scoe_transfer,
     identity_map,
     orbit_sum,
+    prefix_exchange,
     verify_coe,
     verify_flow_claims,
     word,
@@ -457,14 +458,73 @@ def test_a_stale_proof_gets_the_exhaustive_check(std_oe, full2):
     pair_p = derive_cocycle_pair(std_oe.inverse())
     bumped = dataclasses.replace(pair, l=pair.l + 1)
     assert bumped._proven_for is None
-    assert verify_coe(std_oe, bumped, pair_p).failures
+    assert verify_coe(std_oe, bumped, pair_p).as_dict()["failures"] == [
+        ["(0, 0, 0)", "misaligned tails (-1 vs -2)", "00/01"],
+        ["(0, 0, 1)", "misaligned tails (-1 vs -2)", "0/01"],
+        ["(0, 1, 0)", "misaligned tails (-2 vs -3)", "/01"],
+        ["(0, 1, 1)", "misaligned tails (-1 vs -2)", "01/10"],
+        ["(1, 0, 0)", "misaligned tails (-1 vs -2)", "10/01"],
+        ["(1, 0, 1)", "misaligned tails (-1 vs -2)", "/10"],
+        ["(1, 1, 0)", "misaligned tails (-2 vs -3)", "1/10"],
+        ["(1, 1, 1)", "misaligned tails (-1 vs -2)", "11/10"]]
     assert verify_coe(std_oe, pair, dataclasses.replace(pair_p)).verified
     # a pair derived for another map, on the same shift
     g = OrbitEquivalence(identity_map(full2))
     rep = verify_coe(std_oe, derive_cocycle_pair(g), pair_p)
-    assert not rep.verified and rep.failures
+    assert not rep.verified
+    assert rep.as_dict()["failures"] == [
+        ["(0, 1, 1)", "misaligned tails (-1 vs 0)", "01/10"],
+        ["(0, 1, 0)", "misaligned tails (-2 vs 0)", "None"],
+        ["(0, 0)", "symbols differ at position 0: 1 vs 0", "0/01"],
+        ["(1, 1, 0)", "misaligned tails (-2 vs -1)", "1/10"],
+        ["(1, 0)", "misaligned tails (0 vs -2)", "None"]]
     rep = verify_coe(g, pair, pair_p)
     assert not rep.verified and rep.failures
+
+
+def _there_and_back(P, L):
+    """E then its inverse, E the prefix exchange on the code
+    {0^i 1 : i < L} + {0^L} that swaps 1 with 0^(L-1) 1: the identity map,
+    whose stages read up to L + 1 symbols."""
+    code = [(0,) * i + (1,) for i in range(L)] + [(0,) * L]
+    pairing = {u: u for u in code}
+    pairing[(1,)], pairing[code[L - 1]] = code[L - 1], (1,)
+    E = prefix_exchange(P, pairing)
+    return OrbitEquivalence(E.then(E.inverse()))
+
+
+def _k0_l1(P):
+    """The constant pair k = 0, l = 1 at depth 1."""
+    return CocyclePair(CylinderFunction(P, 1, dict.fromkeys(P.words(1), 0)),
+                       CylinderFunction(P, 1, dict.fromkeys(P.words(1), 1)))
+
+
+@pytest.mark.parametrize("L", [9, 10, 11])
+def test_a_pair_is_checked_as_deep_as_its_derivation(full2, L):
+    # refinement once stopped 8 symbols past the pair's depth and reported
+    # "undetermined within slack" although the pair holds
+    h = _there_and_back(full2, L)
+    derived = derive_cocycle_pair(h)
+    assert derived.depth == L + 1
+    assert set(derived.k.table.values()) == {0}
+    assert set(derived.l.table.values()) == {1}
+    pair = _k0_l1(full2)
+    rep = verify_coe(h, pair, pair)
+    assert rep.verified and rep.failures == []
+
+
+def test_refinement_stops_at_the_derived_depth(full2, monkeypatch):
+    import sftkit.orbit as orbit_mod
+    from sftkit.errors import DepthExceeded, VerificationFailed
+    pair = _k0_l1(full2)
+    # the derivation the bound comes from stalls: inconclusive
+    with pytest.raises(DepthExceeded):
+        verify_coe(_there_and_back(full2, 12), pair, pair)
+    # a check that needs more than the derivation did is an internal fault
+    shallow = derive_cocycle_pair(OrbitEquivalence(identity_map(full2)))
+    monkeypatch.setattr(orbit_mod, "derive_cocycle_pair", lambda h: shallow)
+    with pytest.raises(VerificationFailed):
+        verify_coe(_there_and_back(full2, 9), pair, pair)
 
 
 def test_derived_pairs_are_not_checked_again(std_oe, tmp_path, monkeypatch,

@@ -179,10 +179,20 @@ def test_poor_cycles_of_general_presentations(loop_into_loop,
     assert rich_into_permutation.poor_cycles() == [(2, 3, 4)]
     assert two_rich_components.poor_cycles() == []
     assert full2.poor_cycles() == gm.poor_cycles() == []
+    # only one walk leaves a vertex exactly when no branching lies ahead
+    assert [v for v in loop_into_loop.labels
+            if loop_into_loop.is_forced(v)] == ["b"]
+    assert [v for v in rich_into_permutation.labels
+            if rich_into_permutation.is_forced(v)] == [2, 3, 4]
+    assert not any(map(two_rich_components.is_forced,
+                       two_rich_components.labels))
+    assert not any(map(gm.is_forced, gm.labels))
     # a permutation component that leads into a rich one is not poor
     exits = Presentation(range(5), [(0, 1), (1, 2), (2, 0), (2, 3),
                                     (3, 3), (3, 4), (4, 3)])
     assert exits.poor_cycles() == []
+    # 0 has one successor, but the walk from it reaches the branching 2
+    assert not any(map(exits.is_forced, exits.labels))
     # each cycle starts at its least vertex in label order; shorter first
     perm = Presentation("cabd", [("c", "a"), ("a", "b"), ("b", "c"),
                                  ("d", "d")])
