@@ -211,6 +211,15 @@ def _claim_sample(h, seed, count):
     return random_bipoints(random.Random(seed), h.domain, count)
 
 
+def _claims_exit(rep):
+    """FALSIFIED if a claim fails outright; INCONCLUSIVE if every failed
+    claim is a round trip whose shift search found nothing within its
+    bound; OK otherwise."""
+    if any(r.parameters.get("found") != "inconclusive" for r in rep.failures):
+        return FALSIFIED
+    return INCONCLUSIVE if rep.failures else OK
+
+
 def cmd_pipeline(args):
     h = sio.read_orbit_equivalence(args.oe)
     D = coe_to_flow_pipeline(h, max_depth=args.depth, scoe=args.scoe)
@@ -232,11 +241,7 @@ def cmd_pipeline(args):
         lines.append(f"FAIL {r.claim} at {r.point} {r.parameters}: "
                      f"{r.lhs} != {r.rhs}")
     _emit(args, summary, lines)
-    if rep.failures:
-        return FALSIFIED
-    if rep.inconclusive:
-        return INCONCLUSIVE
-    return OK
+    return _claims_exit(rep)
 
 
 def cmd_verify_claims(args):
@@ -254,7 +259,7 @@ def cmd_verify_claims(args):
     lines = [f"{c}: {tot - bad}/{tot} pass" for c, (tot, bad)
              in sorted(by_claim.items())]
     _emit(args, {"claims": rep.as_list()}, lines)
-    return OK if rep.all_pass() else FALSIFIED
+    return _claims_exit(rep)
 
 
 def cmd_groupoid_check(args):

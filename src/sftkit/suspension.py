@@ -181,7 +181,14 @@ def m_eval(n: CylinderFunction, bx: BiPoint, j: int) -> int:
 
 
 class FlowMapData:
-    """The verified data bundle a flow equivalence is evaluated from."""
+    """The verified data bundle a flow equivalence is evaluated from.
+
+    The bundle memoises two reads: phi's image of each one-sided point and
+    the WeightProfile of n along each two-sided point.  Each memo is keyed
+    by the whole (canonical, hence structural) point, so it returns only a
+    value computed from an equal input; it lives and dies with the bundle,
+    and primed() starts the mirror with empty memos.
+    """
 
     def __init__(self, h: PointMap, k, l, k_prime, l_prime,
                  b, b_prime, n, n_prime, shift_constants=(0, 0),
@@ -193,6 +200,8 @@ class FlowMapData:
         self.n_prime, self.b_prime = n_prime, b_prime
         self.shift_constants = shift_constants
         self.validated = validate
+        self._images = {}
+        self._profiles = {}
         if validate:
             for name, fn, P in [("k", k, X), ("l", l, X), ("n", n, X),
                                 ("k'", k_prime, Y), ("l'", l_prime, Y),
@@ -234,8 +243,22 @@ class FlowMapData:
         return self.h.codomain
 
     def phi(self, x: EvPerPoint) -> EvPerPoint:
-        """The one-sided map sigma^{b(x)}(h(x))."""
-        return self.h(x).shift(self.b(x))
+        """The one-sided map sigma^{b(x)}(h(x)), computed once per point."""
+        y = self._images.get(x)
+        if y is None:
+            y = self._images[x] = self.h(x).shift(self.b(x))
+        return y
+
+    def profile(self, bx: BiPoint) -> WeightProfile:
+        """The WeightProfile of n along bx, built once per point.
+
+        A failed build (a window missing from n's table) is not stored, so
+        every read of that point raises the same error.
+        """
+        w = self._profiles.get(bx)
+        if w is None:
+            w = self._profiles[bx] = WeightProfile(self.n, bx)
+        return w
 
     def primed(self) -> "FlowMapData":
         """The same bundle read from the other side.
@@ -279,19 +302,25 @@ def bold_varphi(D: FlowMapData, bx: BiPoint) -> BiPoint:
     purely periodic point z* carried by the left cycle.  The cut level is
     chosen from an explicit continuity modulus of phi, so the construction
     is exact rather than heuristic.
+
+    The cut sits at anchor position a* = i* + phase, the largest multiple of
+    the left period p that is at most -clearance.  Neither the clearance nor
+    a* depends on the phase, so every shift of a non-periodic point hands
+    D.phi the same z* and the same tail x_[i*, inf), and the bundle's memo
+    maps each once.  The image is still built from bx's own profile and
+    its own tail.
     """
     D._require_positive_cycles()
     n = D.n
-    profile = WeightProfile(n, bx)
+    profile = D.profile(bx)
     p = profile.p
     Q = profile.pre[p]  # n summed over one left period
     bmax = max(D.b.max_value(), 0)
     W = max(D.h.prefix_needed(Q + bmax), D.b.width())
     clearance = W + n.width() + p
-    # least coordinate i* with (i* + phase) = 0 mod p lying at least
+    # the least coordinate i* with i* + phase = 0 mod p lying at least
     # `clearance` inside the left-periodic region
-    i_star = -(bx.phase + clearance)
-    i_star -= (i_star + bx.phase) % p
+    i_star = -clearance - (-clearance) % p - bx.phase
     # the left cycle of a canonical point is primitive: z* is canonical
     z_star = EvPerPoint(bx.presentation, (), bx.left_cycle)
     b_star = D.phi(z_star).symbols(Q)
@@ -407,79 +436,96 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
     Fractions and SuspensionPoints are built only to report a failure.  A
     computation that blows up on corrupted data is recorded as a failing
     entry rather than aborting the report.
+
+    Each distinct value is computed once.  The two-sided images are kept
+    for the call, phi's images and the weight profiles for the bundle
+    (FlowMapData's memos).  Per sample point x, the shifts sigma^j x (j in
+    j_range, p_range and 1) and the label are built up front, and the
+    r_over pair of each profile at each time a/d is kept, keyed by (a, d)
+    because a grid may mix denominators: r_{sigma x}(t) serves both the
+    time change at p = 1 and the suspension claim.  Each claim reads its
+    values in the order of its formula and a failed computation is never
+    stored, so the error a claim on a corrupted bundle reports does not
+    depend on what earlier claims computed.
     """
     from .errors import SftError
 
     t_grid = t_grid if t_grid is not None else quarter_grid()
     grid = [(t.numerator, t.denominator) for t in map(Fraction, t_grid)]
-    n = D.n
+    js = range(j_range[0], j_range[1] + 1)
+    ps = range(p_range[0], p_range[1] + 1)
     Dp = D.primed()
     results = []
-    cache = {}
-    profiles = {}
+    images = {}
 
     def phi2(bx):
-        if bx not in cache:
-            cache[bx] = bold_varphi(D, bx)
-        return cache[bx]
+        y = images.get(bx)
+        if y is None:
+            y = images[bx] = bold_varphi(D, bx)
+        return y
 
-    def weights(bx):
-        # keyed by the whole point, phase included: the profile of a shifted
-        # point is read from its own symbols, never re-indexed from another
-        if bx not in profiles:
-            profiles[bx] = WeightProfile(n, bx)
-        return profiles[bx]
+    def r_over(w, a, d):
+        key = (w, a, d)
+        r = times.get(key)
+        if r is None:
+            r = times[key] = w.r_over(a, d)
+        return r
 
-    def attempt(claim, point, params, thunk):
+    def attempt(claim, params, thunk):
         try:
             passed, lhs, rhs = thunk()
         except (SftError, ValueError) as e:
             passed, lhs, rhs = False, f"error: {e}", ""
-        results.append(ClaimResult(claim, str(point), params, passed,
+        results.append(ClaimResult(claim, label, params, passed,
                                    str(lhs), str(rhs)))
 
+    # attempt calls each thunk at once, so the thunks read the loop
+    # variables directly
     for bx in sample:
-        for j in range(j_range[0], j_range[1] + 1):
-            def equivariance(j=j, bx=bx):
-                lhs = phi2(bx).shift(weights(bx).m(j))
-                rhs = phi2(bx.shift(j))
+        label = str(bx)
+        shifted = {j: bx.shift(j) for j in {*js, *ps, 1}}
+        times = {}  # (profile, a, d) -> r_over pair, for this point
+        for j in js:
+            def equivariance():
+                lhs = phi2(bx).shift(D.profile(bx).m(j))
+                rhs = phi2(shifted[j])
                 return lhs == rhs, lhs, rhs
-            attempt("shift-equivariance", bx, {"j": j}, equivariance)
+            attempt("shift-equivariance", {"j": j}, equivariance)
         if bx.is_periodic():
-            def scaling(bx=bx):
+            def scaling():
                 y = phi2(bx)
                 lp_img = y.least_period() if y.is_periodic() else None
-                expect = weights(bx).m(bx.least_period())
+                expect = D.profile(bx).m(bx.least_period())
                 return lp_img == expect, lp_img, expect
-            attempt("period-scaling", bx, {"lp": bx.least_period()}, scaling)
+            attempt("period-scaling", {"lp": bx.least_period()}, scaling)
         bound = d_bound if d_bound is not None else robert_bound(D, bx)
         params = {"bound": bound}
 
-        def round_trip(bx=bx, params=params):
+        def round_trip():
             w = bold_varphi(Dp, phi2(bx))
             d = find_round_trip_shift(bx, w, bound)
             params["found"] = d if d is not None else "inconclusive"
             return d is not None, w, f"a shift of {bx}"
-        attempt("inverse-up-to-shift", bx, params, round_trip)
-        for p in range(p_range[0], p_range[1] + 1):
-            def time_change(p=p, bx=bx):
-                wx, ws = weights(bx), weights(bx.shift(p))
+        attempt("inverse-up-to-shift", params, round_trip)
+        for p in ps:
+            def time_change():
+                wx, ws = D.profile(bx), D.profile(shifted[p])
                 mp = wx.m(p)
                 for t, (a, d) in zip(t_grid, grid):
-                    ln, ld = wx.r_over(a + p * d, d)
-                    rn, rd = ws.r_over(a, d)
+                    ln, ld = r_over(wx, a + p * d, d)
+                    rn, rd = r_over(ws, a, d)
                     if ln * rd != (rn + mp * rd) * ld:
                         return (False, f"r(t+p)={Fraction(ln, ld)} at t={t}",
                                 f"{Fraction(rn, rd) + mp}")
                 return True, "r_x(t+p)", "r_{s^p x}(t) + m_x(p)"
-            attempt("time-change-cocycle", bx, {"p": p, "grid": len(t_grid)},
+            attempt("time-change-cocycle", {"p": p, "grid": len(t_grid)},
                     time_change)
 
-        def representative(bx=bx):
-            sx = bx.shift(1)
+        def representative():
+            sx = shifted[1]
             for t, (a, d) in zip(t_grid, grid):
-                ya, (an, ad) = phi2(sx), weights(sx).r_over(a, d)
-                yb, (bn, bd) = phi2(bx), weights(bx).r_over(a + d, d)
+                ya, (an, ad) = phi2(sx), r_over(D.profile(sx), a, d)
+                yb, (bn, bd) = phi2(bx), r_over(D.profile(bx), a + d, d)
                 fa, fb = an // ad, bn // bd
                 if ((an - fa * ad) * bd != (bn - fb * bd) * ad
                         or ya.shift(fa) != yb.shift(fb)):
@@ -487,6 +533,6 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
                     sb = SuspensionPoint.make(yb, Fraction(bn, bd))
                     return False, f"{sa} at t={t}", f"{sb}"
             return True, "psi(sx, t)", "psi(x, t+1)"
-        attempt("suspension-well-defined", bx, {"grid": len(t_grid)},
+        attempt("suspension-well-defined", {"grid": len(t_grid)},
                 representative)
     return ClaimReport(results)

@@ -138,11 +138,15 @@ def test_cli_json_deterministic(tree, capsys):
      "59f913346f8988a8d373f7485f6c6f90595c88460dd8e92b01da1cbae0940633"),
     (["verify-claims", "--seed", "3", "--samples", "8"],
      "4bc1dfe02fc9e5b3ed8cc2c2937c3496049c04a17cb994b88f6ccfbb0ef9b2e2"),
+    (["verify-claims", "--seed", "5", "--samples", "6", "--j-range", "-1",
+      "6", "--t-grid", "-3", "1"],
+     "b56e8b5ce9cb917d612b24816056296b0d38a3f2a8a8cb1006b7547ffae29b5d"),
     (["derive-cocycles"],
      "68f136efdbdcd9a973060fa02b0121a79b385078a0cb3b7d195acb169aa01779"),
     (["verify-coe"],
      "1569218b7d67081b514d05e6c68a07f1151dd33c7c45de614616614f193800c9"),
-], ids=["pipeline", "verify-claims", "derive-cocycles", "verify-coe"])
+], ids=["pipeline", "verify-claims", "verify-claims-ranges",
+        "derive-cocycles", "verify-coe"])
 def test_cli_json_digests_are_pinned(tree, capsys, argv, digest):
     # the --json contract: these bytes do not depend on the file's path, so
     # any change to them is a change of the output format or of a result
@@ -150,6 +154,42 @@ def test_cli_json_digests_are_pinned(tree, capsys, argv, digest):
     assert main([verb, str(tree / "pe.oe"), "--json", *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _claim_counts(verb, payload):
+    """(failed, inconclusive) as the --json payload of verb reports them."""
+    if verb == "pipeline":
+        return payload["claims_failed"], payload["inconclusive"]
+    claims = payload["claims"]
+    return (sum(not c["pass"] for c in claims),
+            sum(c["parameters"].get("found") == "inconclusive"
+                for c in claims))
+
+
+@pytest.mark.parametrize("verb", ["pipeline", "verify-claims"])
+def test_cli_inconclusive_round_trips_exit_3(tree, capsys, monkeypatch,
+                                             verb):
+    """Round trips whose shift search finds nothing are inconclusive: exit 3
+    when they are the only failures, exit 1 once another claim fails."""
+    from sftkit import WeightProfile, suspension
+    monkeypatch.setattr(suspension, "find_round_trip_shift",
+                        lambda x, w, bound: None)
+    argv = [verb, str(tree / "pe.oe"), "--json", "--samples", "2"]
+    assert main(argv) == 3
+    assert _claim_counts(verb, json.loads(capsys.readouterr().out)) == (2, 2)
+    # r_x skewed by half a step on odd floors of t: the time claims fail
+    # outright as well
+    r_over = WeightProfile.r_over
+
+    def skewed(self, a, d):
+        num, den = r_over(self, a, d)
+        return 2 * num + (a // d) % 2, 2 * den
+
+    monkeypatch.setattr(WeightProfile, "r_over", skewed)
+    assert main(argv) == 1
+    failed, inconclusive = _claim_counts(verb,
+                                         json.loads(capsys.readouterr().out))
+    assert inconclusive == 2 and failed > inconclusive
 
 
 def test_cli_move_and_groupoid_check(tree, capsys):

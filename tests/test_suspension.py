@@ -9,6 +9,7 @@ from sftkit import (
     CylinderFunction,
     FlowMapData,
     OrbitEquivalence,
+    PointMap,
     SuspensionPoint,
     WeightProfile,
     bold_varphi,
@@ -23,7 +24,19 @@ from sftkit import (
     verify_flow_claims,
 )
 from sftkit.errors import DegenerateN, SftError, VerificationFailed
-from sftkit.samples import random_bipoint
+from sftkit.samples import (
+    random_bipoint,
+    random_bipoints,
+    random_prefix_exchange,
+    random_split_conjugacy,
+)
+from sftkit.suspension import (
+    ClaimReport,
+    ClaimResult,
+    EvPerPoint,
+    find_round_trip_shift,
+    robert_bound,
+)
 
 
 def identity_data(P):
@@ -377,3 +390,209 @@ def test_a_time_off_by_a_fraction_is_reported(full2, std_exchange,
     assert _check_time_claims(D, rep, sample, grid) == {
         "time-change-cocycle": 2 * len(sample),
         "suspension-well-defined": len(sample)}
+
+
+def test_each_value_is_computed_once_per_point(full2, std_exchange,
+                                               monkeypatch):
+    """One non-periodic point at the default ranges: phi maps 4 distinct
+    one-sided points (z* and the cut tail, for x and for the round trip),
+    n's profile is built for the 9 distinct shifts and the image, and r is
+    read at 143 distinct (profile, time) pairs: 41 times of r_x and 17 for
+    each of the six other shifts.  Before the memos these were 20, 17 and
+    272."""
+    D = coe_to_flow_pipeline(OrbitEquivalence(std_exchange))
+    bx = BiPoint.make(full2, (0,), (1, 1, 0), (0, 1), -1)
+    assert not bx.is_periodic()
+    counts = Counter()
+
+    def spy(cls, name):
+        fn = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    spy(PointMap, "apply")
+    spy(WeightProfile, "__init__")
+    spy(WeightProfile, "r_over")
+    assert verify_flow_claims(D, [bx]).all_pass()
+    assert counts["apply"] == 4
+    assert counts["__init__"] <= 10
+    assert counts["r_over"] == 143
+
+
+# -- the claim battery before its memos, kept as an oracle -------------------
+
+def _reference_phi(D, x):
+    """FlowMapData.phi before it memoised its images."""
+    return D.h(x).shift(D.b(x))
+
+
+def _reference_bold_varphi(D, bx):
+    """bold_varphi before the bundle's memos: its own profile, the cut from
+    the phase, and phi without a memo (_reference_phi)."""
+    D._require_positive_cycles()
+    n = D.n
+    profile = WeightProfile(n, bx)
+    p = profile.p
+    Q = profile.pre[p]  # n summed over one left period
+    bmax = max(D.b.max_value(), 0)
+    W = max(D.h.prefix_needed(Q + bmax), D.b.width())
+    clearance = W + n.width() + p
+    # least coordinate i* with (i* + phase) = 0 mod p lying at least
+    # `clearance` inside the left-periodic region
+    i_star = -(bx.phase + clearance)
+    i_star -= (i_star + bx.phase) % p
+    # the left cycle of a canonical point is primitive: z* is canonical
+    z_star = EvPerPoint(bx.presentation, (), bx.left_cycle)
+    b_star = _reference_phi(D, z_star).symbols(Q)
+    p_star = _reference_phi(D, bx.tail(i_star))
+    m_star = profile.m(i_star)
+    img = BiPoint.make(D.codomain, b_star, p_star.prefix, p_star.cycle,
+                       -m_star)
+    if img.tail(m_star) != p_star:
+        raise VerificationFailed(
+            f"the two-sided image {img} does not continue "
+            f"phi(x_[{i_star}, inf)) = {p_star} at {m_star}")
+    return img
+
+
+def _reference_verify_flow_claims(D, sample, j_range=(-4, 4), t_grid=None,
+                                  p_range=(-3, 3), d_bound=None):
+    """verify_flow_claims before the memos, calling the reference
+    bold_varphi."""
+    t_grid = t_grid if t_grid is not None else quarter_grid()
+    grid = [(t.numerator, t.denominator) for t in map(Fraction, t_grid)]
+    n = D.n
+    Dp = D.primed()
+    results = []
+    cache = {}
+    profiles = {}
+
+    def phi2(bx):
+        if bx not in cache:
+            cache[bx] = _reference_bold_varphi(D, bx)
+        return cache[bx]
+
+    def weights(bx):
+        # keyed by the whole point, phase included: the profile of a shifted
+        # point is read from its own symbols, never re-indexed from another
+        if bx not in profiles:
+            profiles[bx] = WeightProfile(n, bx)
+        return profiles[bx]
+
+    def attempt(claim, point, params, thunk):
+        try:
+            passed, lhs, rhs = thunk()
+        except (SftError, ValueError) as e:
+            passed, lhs, rhs = False, f"error: {e}", ""
+        results.append(ClaimResult(claim, str(point), params, passed,
+                                   str(lhs), str(rhs)))
+
+    for bx in sample:
+        for j in range(j_range[0], j_range[1] + 1):
+            def equivariance(j=j, bx=bx):
+                lhs = phi2(bx).shift(weights(bx).m(j))
+                rhs = phi2(bx.shift(j))
+                return lhs == rhs, lhs, rhs
+            attempt("shift-equivariance", bx, {"j": j}, equivariance)
+        if bx.is_periodic():
+            def scaling(bx=bx):
+                y = phi2(bx)
+                lp_img = y.least_period() if y.is_periodic() else None
+                expect = weights(bx).m(bx.least_period())
+                return lp_img == expect, lp_img, expect
+            attempt("period-scaling", bx, {"lp": bx.least_period()}, scaling)
+        bound = d_bound if d_bound is not None else robert_bound(D, bx)
+        params = {"bound": bound}
+
+        def round_trip(bx=bx, params=params):
+            w = _reference_bold_varphi(Dp, phi2(bx))
+            d = find_round_trip_shift(bx, w, bound)
+            params["found"] = d if d is not None else "inconclusive"
+            return d is not None, w, f"a shift of {bx}"
+        attempt("inverse-up-to-shift", bx, params, round_trip)
+        for p in range(p_range[0], p_range[1] + 1):
+            def time_change(p=p, bx=bx):
+                wx, ws = weights(bx), weights(bx.shift(p))
+                mp = wx.m(p)
+                for t, (a, d) in zip(t_grid, grid):
+                    ln, ld = wx.r_over(a + p * d, d)
+                    rn, rd = ws.r_over(a, d)
+                    if ln * rd != (rn + mp * rd) * ld:
+                        return (False, f"r(t+p)={Fraction(ln, ld)} at t={t}",
+                                f"{Fraction(rn, rd) + mp}")
+                return True, "r_x(t+p)", "r_{s^p x}(t) + m_x(p)"
+            attempt("time-change-cocycle", bx, {"p": p, "grid": len(t_grid)},
+                    time_change)
+
+        def representative(bx=bx):
+            sx = bx.shift(1)
+            for t, (a, d) in zip(t_grid, grid):
+                ya, (an, ad) = phi2(sx), weights(sx).r_over(a, d)
+                yb, (bn, bd) = phi2(bx), weights(bx).r_over(a + d, d)
+                fa, fb = an // ad, bn // bd
+                if ((an - fa * ad) * bd != (bn - fb * bd) * ad
+                        or ya.shift(fa) != yb.shift(fb)):
+                    sa = SuspensionPoint.make(ya, Fraction(an, ad))
+                    sb = SuspensionPoint.make(yb, Fraction(bn, bd))
+                    return False, f"{sa} at t={t}", f"{sb}"
+            return True, "psi(sx, t)", "psi(x, t+1)"
+        attempt("suspension-well-defined", bx, {"grid": len(t_grid)},
+                representative)
+    return ClaimReport(results)
+
+
+def _corrupted(D):
+    """D with n raised on its first word, lowered on its last positive
+    word, and zeroed on every word that starts at the first vertex (n then
+    vanishes on that vertex's loop, if it has one), none validated."""
+    words = D.domain.sorted_words(D.n.table)
+    first = words[0]
+    positive = [w for w in words if D.n.table[w] > 0]
+    tables = [{first: D.n.table[first] + 1},
+              {positive[-1]: D.n.table[positive[-1]] - 1},
+              {w: 0 for w in words if w[0] == words[0][0]}]
+    return [FlowMapData(D.h, D.k, D.l, D.k_prime, D.l_prime, D.b, D.b_prime,
+                        CylinderFunction(D.domain, D.n.depth,
+                                         {**D.n.table, **change}),
+                        D.n_prime, validate=False)
+            for change in tables]
+
+
+def test_claims_match_the_battery_without_memos(full2, full3, gm,
+                                                std_exchange):
+    """verify_flow_claims reports exactly what the battery before the memos
+    reports, on seeded maps, periodic and non-periodic points, shifted
+    ranges, grids in thirds and with mixed denominators, and bundles with n
+    corrupted; run again on the same bundle, the warm memos change
+    nothing."""
+    rng = random.Random(20)
+    maps = [random_prefix_exchange(rng, P, e)
+            for P, e in [(full2, 2)] * 3 + [(full3, 1)] * 3]
+    maps += [OrbitEquivalence(std_exchange).compose(
+                 random_prefix_exchange(rng, full2, 2)),
+             random_split_conjugacy(rng, gm, 3)]
+    thirds = [Fraction(q, 3) for q in range(-4, 5)]
+    mixed = [Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)]
+    options = [{}, {"j_range": (2, 5), "p_range": (-1, 2)},
+               {"t_grid": thirds}, {"t_grid": mixed, "p_range": (-2, 2)}]
+    kinds, verdicts = Counter(), Counter()
+    for h in maps:
+        D = coe_to_flow_pipeline(h)
+        sample = random_bipoints(rng, h.domain, 8)
+        kinds.update(bx.is_periodic() for bx in sample)
+        runs = [(D, kw) for kw in options]
+        runs += [(bad, kw) for bad in _corrupted(D) for kw in options[::3]]
+        for bundle, kw in runs:
+            want = _reference_verify_flow_claims(bundle, sample, **kw)
+            for _ in range(2):
+                got = verify_flow_claims(bundle, sample, **kw)
+                assert got.as_list() == want.as_list()
+            verdicts.update("pass" if r.passed
+                            else "error" if r.lhs.startswith("error: ")
+                            else "fail" for r in want.results)
+    assert kinds[True] and kinds[False]
+    assert verdicts["pass"] and verdicts["fail"] and verdicts["error"], \
+        verdicts
