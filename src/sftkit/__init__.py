@@ -85,7 +85,6 @@ from .orbit import (
     check_least_period_preserving,
     coe_to_flow_pipeline,
     derive_cocycle_pair,
-    find_scoe_transfer,
     verify_coe,
 )
 

@@ -291,7 +291,22 @@ def out_split(P: Presentation, vertex, parts) -> Presentation:
     duplicated onto all copies.  The two-sided (and here also the
     one-sided) shift is unchanged up to conjugacy.
     """
-    parts = _check_partition(P, vertex, parts, "out")
+    return _split(P, vertex, _check_partition(P, vertex, parts, "out"))
+
+
+def in_split(P: Presentation, vertex, parts) -> Presentation:
+    """Split a vertex along a partition of its in-neighbors; dual move: the
+    transpose of the out-split of the transposed graph."""
+    parts = _check_partition(P, vertex, parts, "in")
+    return _transpose(_split(_transpose(P), vertex, parts))
+
+
+def _transpose(P: Presentation) -> Presentation:
+    return Presentation(P.labels, [(b, a) for a, b in P.edges])
+
+
+def _split(P: Presentation, vertex, parts) -> Presentation:
+    """The out-split of a checked partition."""
     copies = [(vertex, t) for t in range(len(parts))]
     labels = [v for v in P.labels if v != vertex] + copies
 
@@ -309,29 +324,6 @@ def out_split(P: Presentation, vertex, parts) -> Presentation:
         for b in part:
             for bb in targets(b):
                 edges.append(((vertex, t), bb))
-    return Presentation(labels, edges)
-
-
-def in_split(P: Presentation, vertex, parts) -> Presentation:
-    """Split a vertex along a partition of its in-neighbors; dual move."""
-    parts = _check_partition(P, vertex, parts, "in")
-    copies = [(vertex, t) for t in range(len(parts))]
-    labels = [v for v in P.labels if v != vertex] + copies
-
-    def sources(a):
-        if a == vertex:
-            return copies
-        return [a]
-
-    edges = []
-    for a, b in P.edges:
-        if b != vertex:
-            for aa in sources(a):
-                edges.append((aa, b))
-    for t, part in enumerate(parts):
-        for a in part:
-            for aa in sources(a):
-                edges.append((aa, (vertex, t)))
     return Presentation(labels, edges)
 
 

@@ -180,10 +180,10 @@ def _counterexample(P, pm: PointMap, w, k, l):
     return x if pm(x.shift(1)).shift(k) != pm(x).shift(l) else None
 
 
-def verify_coe(h: OrbitEquivalence, pair: CocyclePair, pair_prime: CocyclePair,
-               scoe_depth=None) -> COEReport:
+def verify_coe(h: OrbitEquivalence, pair: CocyclePair,
+               pair_prime: CocyclePair) -> COEReport:
     """Both cocycle identities, the least-period verdict for every period,
-    and the optional strong-equivalence search.  A pair derive_cocycle_pair
+    and the strong-equivalence decision.  A pair derive_cocycle_pair
     proved for h.forward (pair_prime: for h.backward) stands as proven; any
     other pair gets the exhaustive symbolic check, cylinder by cylinder.
 
@@ -206,7 +206,12 @@ def verify_coe(h: OrbitEquivalence, pair: CocyclePair, pair_prime: CocyclePair,
           l - k is positive is kept as report.positivity.
     Both identities are premises: when one fails the verdict is not
     established, least_period_preserving is False with no witness and no
-    orbit checked.
+    orbit checked, and no transfer is sought.
+
+    h is strongly COE when l - k = 1 + b - b o sigma for some b, which is
+    then report.scoe_transfer.  solve_coboundary decides this exactly: it
+    solves one system at depth max(depth(l - k - 1) - 1, 0) <= pair.depth,
+    so the cap pair.depth never binds.
     """
     failures = []
     if pair._proven_for is not h.forward:
@@ -221,7 +226,8 @@ def verify_coe(h: OrbitEquivalence, pair: CocyclePair, pair_prime: CocyclePair,
         P = h.domain
         poor = P.poor_cycles()
         ok, witnesses = check_least_period_preserving(h, pair, poor)
-        res = class_is_positive(P, pair.difference())
+        diff = pair.difference()
+        res = class_is_positive(P, diff)
         if isinstance(res, NegativeCycleWitness):
             x = EvPerPoint.make(P, (), tuple(a.tag[0] for a in res.cycle))
             if all(x != w[0] for w in witnesses):
@@ -232,8 +238,7 @@ def verify_coe(h: OrbitEquivalence, pair: CocyclePair, pair_prime: CocyclePair,
         report.least_period_preserving = ok
         report.lp_witnesses = witnesses
         report.lp_checked_cycles = len(poor)
-    if scoe_depth is not None:
-        report.scoe_transfer = find_scoe_transfer(h, pair, scoe_depth)
+        report.scoe_transfer = solve_coboundary(P, diff - 1, pair.depth)
     return report
 
 
@@ -253,25 +258,13 @@ def check_least_period_preserving(h: OrbitEquivalence, pair: CocyclePair,
     return not witnesses, witnesses
 
 
-def find_scoe_transfer(h: OrbitEquivalence, pair: CocyclePair,
-                       max_depth: int = 8):
-    """A transfer function b with l - k = 1 + b - b o sigma, or None.
-
-    Every cycle sum of l - k then equals the cycle length; the coboundary
-    solver needs no separate check of this, since its one difference
-    system decides whether l - k - 1 is a coboundary.
-    """
-    return solve_coboundary(h.domain, pair.difference() - 1, max_depth)
-
-
-def _decompose(P, pair: CocyclePair, scoe: bool, certificate=None):
-    """(n, b, c) with l - k = n + b - b o sigma and b >= l.  With scoe and
-    l - k - 1 a coboundary, n = 1 and the transfer is lifted by c; otherwise
+def _decompose(P, pair: CocyclePair, transfer, certificate=None):
+    """(n, b, c) with l - k = n + b - b o sigma and b >= l.  With a transfer
+    t (l - k = 1 + t - t o sigma), n = 1 and t is lifted by c; with None,
     (n, b) is the positivity certificate (the given one, if any), c = 0."""
-    t = solve_coboundary(P, pair.difference() - 1, 8) if scoe else None
-    if t is not None:
-        c = max((pair.l - t).max_value(), 0)
-        return CylinderFunction.constant(P, 1), t + c, c
+    if transfer is not None:
+        c = max((pair.l - transfer).max_value(), 0)
+        return CylinderFunction.constant(P, 1), transfer + c, c
     if certificate is None:
         return (*decompose_positive(P, pair.difference(), lower=pair.l), 0)
     return (*certificate.lifted(pair.l), 0)
@@ -294,8 +287,13 @@ def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
     if not report.least_period_preserving:
         raise LeastPeriodViolation(report.lp_witnesses)
 
-    n, b, c = _decompose(h.domain, pair, scoe, report.positivity)
-    n_p, b_p, c_p = _decompose(h.codomain, pair_prime, scoe)
+    t = t_p = None
+    if scoe:
+        t = report.scoe_transfer
+        t_p = solve_coboundary(h.codomain, pair_prime.difference() - 1,
+                               pair_prime.depth)
+    n, b, c = _decompose(h.domain, pair, t, report.positivity)
+    n_p, b_p, c_p = _decompose(h.codomain, pair_prime, t_p)
     return FlowMapData(h.forward, pair.k, pair.l, pair_prime.k, pair_prime.l,
                        b, b_p, n, n_p, (c, c_p))
 

@@ -12,7 +12,6 @@ from .errors import (
     EmptyShift,
     InadmissibleWord,
     SinkOrSourceAfterPruning,
-    WordTooShort,
     ZeroRowOrColumn,
 )
 
@@ -61,10 +60,6 @@ class Presentation:
                 raise ZeroRowOrColumn("column", self._index[v])
 
     # -- basic structure ---------------------------------------------------
-
-    @property
-    def vertex_count(self):
-        return len(self.labels)
 
     def index(self, label):
         return self._index[label]
@@ -214,22 +209,6 @@ class Presentation:
                 found.append(tuple(c))
         return sorted(found, key=len)
 
-    def simple_cycles(self):
-        """Simple cycles (no repeated vertex) as vertex words, one per
-        rotation class."""
-        out = []
-        order = self._index
-        for start in self.labels:
-            stack = [(start, (start,))]
-            while stack:
-                v, path = stack.pop()
-                for b in self._out[v]:
-                    if b == start:
-                        out.append(path)
-                    elif order[b] > order[start] and b not in path:
-                        stack.append((b, path + (b,)))
-        return out
-
     def complete_to_cycle_word(self, w: Word):
         """Extend an admissible word with a closing cycle, yielding
         (prefix, cycle) for an eventually periodic point in Z(w).
@@ -318,21 +297,6 @@ class HigherBlockRecoding:
     def __init__(self, block_length, blocks):
         self.block_length = block_length
         self.blocks = dict(blocks)  # new label -> original Word
-
-    def encode_word(self, w: Word) -> Word:
-        L = self.block_length
-        if len(w) < L:
-            raise WordTooShort(f"word {w!r} shorter than block length {L}")
-        inv = {b: v for v, b in self.blocks.items()}
-        return tuple(inv[w[i:i + L]] for i in range(len(w) - L + 1))
-
-    def decode_word(self, w: Word) -> Word:
-        if not w:
-            return ()
-        out = self.blocks[w[0]]
-        for v in w[1:]:
-            out = out + (self.blocks[v][-1],)
-        return out
 
 
 def higher_block(P: Presentation, L: int):

@@ -230,10 +230,6 @@ class FlowMapData:
     def n_positive_on_cycles(self) -> bool:
         return positive_on_cycles(self.domain, self.n)
 
-    @cached_property
-    def n_prime_positive_on_cycles(self) -> bool:
-        return positive_on_cycles(self.codomain, self.n_prime)
-
     @property
     def domain(self):
         return self.h.domain
@@ -353,8 +349,7 @@ def r_eval(n: CylinderFunction, bx: BiPoint, t) -> Fraction:
 def psi_eval(D: FlowMapData, s: SuspensionPoint) -> SuspensionPoint:
     """[Phi(x), r_x(t)], normalized to 0 <= t < 1."""
     y = bold_varphi(D, s.point)
-    r = r_eval(D.n, s.point, s.time)
-    return SuspensionPoint.make(y, r)
+    return SuspensionPoint.make(y, D.profile(s.point).r(s.time))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +430,9 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
     compared as integer cross-products of WeightProfile.r_over pairs, and
     Fractions and SuspensionPoints are built only to report a failure.  A
     computation that blows up on corrupted data is recorded as a failing
-    entry rather than aborting the report.
+    entry rather than aborting the report.  A sample point that lives on
+    another presentation than D.domain raises InadmissibleWord before any
+    claim is checked.
 
     Each distinct value is computed once.  The two-sided images are kept
     for the call, phi's images and the weight profiles for the bundle
@@ -450,6 +447,12 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
     """
     from .errors import SftError
 
+    sample = list(sample)
+    for bx in sample:
+        if bx.presentation is not D.domain and bx.presentation != D.domain:
+            raise InadmissibleWord(
+                f"{bx} lives on {bx.presentation!r}, "
+                f"not on the map's domain {D.domain!r}")
     t_grid = t_grid if t_grid is not None else quarter_grid()
     grid = [(t.numerator, t.denominator) for t in map(Fraction, t_grid)]
     js = range(j_range[0], j_range[1] + 1)

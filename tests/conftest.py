@@ -4,6 +4,24 @@ from sftkit import full_shift, golden_mean, word
 from sftkit.presentation import Presentation
 
 
+def simple_cycles(P):
+    """Simple cycles (no repeated vertex) of P as vertex words, one per
+    rotation class.  Their number grows exponentially with the vertex count,
+    so they serve only as an oracle for cycle questions that sftkit answers
+    on the block graph."""
+    out = []
+    for start in P.labels:
+        stack = [(start, (start,))]
+        while stack:
+            v, path = stack.pop()
+            for b in P.out_neighbors(v):
+                if b == start:
+                    out.append(path)
+                elif P.index(b) > P.index(start) and b not in path:
+                    stack.append((b, path + (b,)))
+    return out
+
+
 @pytest.fixture
 def full2():
     return full_shift(2)

@@ -19,6 +19,7 @@ from sftkit.errors import (
     ZeroFloorValue,
 )
 from sftkit.flow import determinant, smith_normal_form
+from sftkit.presentation import Presentation
 from sftkit.samples import random_presentation
 
 
@@ -163,6 +164,48 @@ def test_split_partition_validation(full2, gm):
         out_split(full2, 0, [[0], []])
     with pytest.raises(InvalidPartition):
         in_split(gm, 0, [[0]])  # misses in-neighbor 1
+
+
+def _in_split_reference(P, vertex, parts):
+    """The in-split built directly: each copy keeps one class of in-edges,
+    and every out-edge of the vertex is duplicated onto all copies."""
+    copies = [(vertex, t) for t in range(len(parts))]
+    labels = [v for v in P.labels if v != vertex] + copies
+
+    def sources(a):
+        return copies if a == vertex else [a]
+
+    edges = [(aa, b) for a, b in P.edges if b != vertex for aa in sources(a)]
+    edges += [(aa, (vertex, t)) for t, part in enumerate(parts)
+              for a in part for aa in sources(a)]
+    return Presentation(labels, edges)
+
+
+def test_in_split_is_the_transposed_out_split():
+    rng = random.Random(8)
+    split_self = 0
+    for _ in range(1000):
+        P = random_presentation(rng, 5)
+        v = rng.choice(P.labels)
+        nbrs = list(P.in_neighbors(v))
+        rng.shuffle(nbrs)
+        k = rng.randint(1, len(nbrs))
+        parts = [nbrs[i::k] for i in range(k)]
+        Q, R = in_split(P, v, parts), _in_split_reference(P, v, parts)
+        assert (Q.labels, Q.edges) == (R.labels, R.edges)
+        split_self += v in nbrs and k > 1
+    assert split_self >= 100
+
+
+def test_in_split_checks_in_neighbors(loop_into_loop):
+    # b's in-neighbors are {a, b}, its out-neighbors {b}: the parts are
+    # checked against the in-neighbors, whatever the transposed out-split
+    # reads them as
+    with pytest.raises(InvalidPartition, match="in-neighbors of 'b'"):
+        in_split(loop_into_loop, "b", [["b"]])
+    Q = in_split(loop_into_loop, "b", [["a"], ["b"]])
+    assert Q.labels == ("a", ("b", 0), ("b", 1))
+    assert Q.in_neighbors(("b", 0)) == ("a",)
 
 
 def test_out_split_conjugacy_roundtrip(full2):

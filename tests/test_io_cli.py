@@ -144,7 +144,7 @@ def test_cli_json_deterministic(tree, capsys):
     (["derive-cocycles"],
      "68f136efdbdcd9a973060fa02b0121a79b385078a0cb3b7d195acb169aa01779"),
     (["verify-coe"],
-     "1569218b7d67081b514d05e6c68a07f1151dd33c7c45de614616614f193800c9"),
+     "955cbfae4cff16bc5a30493605f1d1dd2e45d5f162b2f10ac6b767ddc21ef75d"),
 ], ids=["pipeline", "verify-claims", "verify-claims-ranges",
         "derive-cocycles", "verify-coe"])
 def test_cli_json_digests_are_pinned(tree, capsys, argv, digest):

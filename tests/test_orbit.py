@@ -11,10 +11,11 @@ from sftkit import (
     check_least_period_preserving,
     coe_to_flow_pipeline,
     derive_cocycle_pair,
-    find_scoe_transfer,
+    full_shift,
     identity_map,
     orbit_sum,
     prefix_exchange,
+    solve_coboundary,
     verify_coe,
     verify_flow_claims,
     word,
@@ -128,7 +129,8 @@ def test_scoe_transfer_conjugacy(full2):
     h = OrbitEquivalence(identity_map(full2))
     zero = CylinderFunction.constant(full2, 0)
     one = CylinderFunction.constant(full2, 1)
-    b = find_scoe_transfer(h, CocyclePair(zero, one), 4)
+    b = verify_coe(h, CocyclePair(zero, one), CocyclePair(zero, one)
+                   ).scoe_transfer
     assert b is not None
     assert set(b.refine(1).table.values()) == {0}
 
@@ -139,7 +141,8 @@ def test_scoe_transfer_orbit_obstruction(std_oe):
     # is 2 and the identity needs every cycle sum to equal cycle length;
     # here sums do match, so instead check a pair that cannot transfer
     broken = CocyclePair(pair.k, pair.l + 1)
-    assert find_scoe_transfer(std_oe, broken, 6) is None
+    assert solve_coboundary(std_oe.domain, broken.difference() - 1,
+                            broken.depth) is None
 
 
 def test_scoe_transfer_planted(full2):
@@ -149,7 +152,8 @@ def test_scoe_transfer_planted(full2):
     l = target + 3  # keep both components non-negative
     k = CylinderFunction.constant(full2, 3).refine(l.depth)
     h = OrbitEquivalence(identity_map(full2))
-    b = find_scoe_transfer(h, CocyclePair(k, l), 6)
+    b = solve_coboundary(h.domain, CocyclePair(k, l).difference() - 1,
+                         l.depth)
     assert b is not None
     assert (l - k) == CylinderFunction.constant(full2, 1) + b.coboundary()
 
@@ -246,9 +250,51 @@ def test_verify_coe_reports_scoe(full2):
     rng = random.Random(3)
     h = random_split_conjugacy(rng, full2, moves=1)
     pair = derive_cocycle_pair(h)
-    rep = verify_coe(h, pair, derive_cocycle_pair(h.inverse()), scoe_depth=4)
+    rep = verify_coe(h, pair, derive_cocycle_pair(h.inverse()))
     assert rep.scoe_transfer is not None
     assert rep.as_dict()["strongly_coe"]
+
+
+def _verified_pairs(loop_into_loop, single_loop):
+    """(h, pair, pair_prime) on seeded exchanges, split conjugacies and
+    compositions with their derived pairs, and on identity maps with
+    verified pairs that are not strongly COE."""
+    rng = random.Random(6)
+    maps = list(_general_maps(60, seed=6))
+    for P in (full_shift(2), full_shift(3)):
+        pe, other = (random_prefix_exchange(rng, P) for _ in range(2))
+        split = random_split_conjugacy(rng, P, 2)
+        maps += [pe.compose(other), other.compose(pe),
+                 split.compose(random_prefix_exchange(rng, split.codomain))]
+    for h in maps:
+        yield h, derive_cocycle_pair(h), derive_cocycle_pair(h.inverse())
+    h = OrbitEquivalence(identity_map(loop_into_loop))
+    k = CylinderFunction.constant(loop_into_loop, 0).refine(1)
+    pair = CocyclePair(k, CylinderFunction.from_values(
+        loop_into_loop, {("a",): 1, ("b",): 2}))
+    yield h, pair, pair
+    h = OrbitEquivalence(identity_map(single_loop))
+    for kv, lv in [(1, 1), (0, 2), (1, 0), (2, 1)]:
+        pair = CocyclePair(CylinderFunction.constant(single_loop, kv),
+                           CylinderFunction.constant(single_loop, lv))
+        yield h, pair, pair
+
+
+def test_scoe_transfer_is_decided_exactly(loop_into_loop, single_loop):
+    """verify_coe's transfer exists exactly when l - k - 1 is a coboundary
+    at any depth, and it witnesses l - k = 1 + t - t o sigma."""
+    found = {True: 0, False: 0}
+    for h, pair, pair_prime in _verified_pairs(loop_into_loop, single_loop):
+        rep = verify_coe(h, pair, pair_prime)
+        assert rep.verified
+        diff = pair.difference()
+        deep = solve_coboundary(h.domain, diff - 1, 99)
+        t = rep.scoe_transfer
+        assert (t is not None) == (deep is not None), h.forward
+        if t is not None:
+            assert diff == t.coboundary() + 1
+        found[t is not None] += 1
+    assert found == {True: 66, False: 5}
 
 
 def test_solve_coboundary_depth_cap(full2):
@@ -511,6 +557,13 @@ def test_a_pair_is_checked_as_deep_as_its_derivation(full2, L):
     pair = _k0_l1(full2)
     rep = verify_coe(h, pair, pair)
     assert rep.verified and rep.failures == []
+    # h is the identity, so strongly COE at every derivable depth: the
+    # transfer of its derived pair solves at depth L, and the pipeline's
+    # n is the constant 1
+    rep = verify_coe(h, derived, derive_cocycle_pair(h.inverse()))
+    assert rep.as_dict()["strongly_coe"]
+    n = coe_to_flow_pipeline(h, scoe=True).n
+    assert (n.depth, n) == (0, CylinderFunction.constant(full2, 1))
 
 
 def test_refinement_stops_at_the_derived_depth(full2, monkeypatch):

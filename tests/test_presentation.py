@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import simple_cycles
 
 from sftkit import build_presentation, from_forbidden_words, full_shift, word
 from sftkit import golden_mean
@@ -17,7 +18,7 @@ from sftkit.samples import random_presentation
 
 def test_full_shift_accepted():
     P = build_presentation([[1, 1], [1, 1]])
-    assert P.vertex_count == 2
+    assert len(P.labels) == 2
     assert len(P.edges) == 4
 
 
@@ -29,7 +30,7 @@ def test_golden_mean_accepted():
 def test_no_zero_row_or_column():
     # rows (1,0),(1,1) and columns (1,1),(0,1) are all nonzero: accepted
     P = build_presentation([[1, 0], [1, 1]])
-    assert P.vertex_count == 2
+    assert len(P.labels) == 2
     with pytest.raises(ZeroRowOrColumn) as e:
         build_presentation([[0, 0], [1, 1]])
     assert e.value.kind == "row" and e.value.index == 0
@@ -97,11 +98,23 @@ def test_forbidden_words_source_detected():
         from_forbidden_words((0, 1), [word("00"), word("10")])
 
 
+def _encode(rec, w):
+    """The L-block recoding of an original word of length >= L."""
+    L = rec.block_length
+    inv = {b: v for v, b in rec.blocks.items()}
+    return tuple(inv[w[i:i + L]] for i in range(len(w) - L + 1))
+
+
+def _decode(rec, w):
+    """The original word a non-empty word of L-blocks stands for."""
+    return rec.blocks[w[0]] + tuple(rec.blocks[v][-1] for v in w[1:])
+
+
 def test_forbidden_longer_words():
     # 11 can never continue, so pruning must remove it entirely
     P, rec = from_forbidden_words((0, 1), [word("110"), word("111")])
     assert rec.block_length == 2
-    decoded = {rec.decode_word(w) for w in P.language(2)}
+    decoded = {_decode(rec, w) for w in P.language(2)}
     assert word("110") not in decoded and word("111") not in decoded
     assert word("11") not in set(P.labels)
 
@@ -113,7 +126,7 @@ def test_higher_block_recoding(gm):
     for a, b in Q.edges:
         assert a[1:] == b[:-1]
     w = word("00101")
-    assert rec.decode_word(rec.encode_word(w)) == w
+    assert _decode(rec, _encode(rec, w)) == w
 
 
 def test_cycles_are_rotation_free(gm):
@@ -203,7 +216,7 @@ def _poor_by_simple_cycles(P):
     """Simple cycles whose reachable simple cycles are pairwise disjoint:
     two simple cycles through one vertex make a component that is not a
     single cycle."""
-    simple = P.simple_cycles()
+    simple = simple_cycles(P)
     poor = set()
     for c in simple:
         ahead = P.reachable(c[0])
@@ -222,7 +235,7 @@ def test_poor_cycles_equal_the_disjoint_simple_cycle_definition(
     with_poor = 0
     for P in presentations:
         poor = _poor_by_simple_cycles(P)
-        assert P.poor_cycles() == [c for c in P.cycles(P.vertex_count)
+        assert P.poor_cycles() == [c for c in P.cycles(len(P.labels))
                                    if c in poor]
         with_poor += bool(poor)
     assert with_poor >= 50

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import simple_cycles
 
 from sftkit import (
     BiPoint,
@@ -23,7 +24,12 @@ from sftkit import (
     r_eval,
     verify_flow_claims,
 )
-from sftkit.errors import DegenerateN, SftError, VerificationFailed
+from sftkit.errors import (
+    DegenerateN,
+    InadmissibleWord,
+    SftError,
+    VerificationFailed,
+)
 from sftkit.samples import (
     random_bipoint,
     random_bipoints,
@@ -210,6 +216,16 @@ def test_verify_flow_claims_pass(full2, std_exchange):
     assert not rep.inconclusive
 
 
+def test_verify_flow_claims_rejects_points_of_another_shift(full3, gm):
+    # labels 0 and 1 are in the full 3-shift's tables, so without the check
+    # the time-change claims on the golden-mean point (01)^inf passed
+    D = coe_to_flow_pipeline(random_prefix_exchange(random.Random(1), full3))
+    own = BiPoint.periodic(full3, (0, 1))
+    with pytest.raises(InadmissibleWord, match="not on the map's domain"):
+        verify_flow_claims(D, [own, BiPoint.periodic(gm, (0, 1))])
+    assert verify_flow_claims(D, iter([own])).all_pass()
+
+
 def test_verify_flow_claims_detects_corrupted_n(full2, std_exchange):
     D = coe_to_flow_pipeline(OrbitEquivalence(std_exchange))
     bad_table = dict(D.n.table)
@@ -241,12 +257,12 @@ def test_n_positive_on_cycles_sees_block_cycles(full2):
     zeros = {(0, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 0)}
     n = CylinderFunction(full2, 3, {w: 0 if w in zeros else 1
                                     for w in full2.language(3)})
-    assert [orbit_sum(n, c) for c in full2.simple_cycles()] == [1, 2, 1]
+    assert [orbit_sum(n, c) for c in simple_cycles(full2)] == [1, 2, 1]
     assert orbit_sum(n, (0, 0, 1, 1)) == 0
     D = FlowMapData(identity_map(full2), zero, one, zero, one,
                     one, zero, n, one, validate=False)
     assert not D.n_positive_on_cycles
-    assert D.n_prime_positive_on_cycles
+    assert D.primed().n_positive_on_cycles
     with pytest.raises(DegenerateN):
         bold_varphi(D, BiPoint.periodic(full2, (0, 0, 1, 1)))
 
