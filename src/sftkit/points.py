@@ -14,6 +14,13 @@ the words it is given.  A point derived from a canonical point (a shift, a
 tail, the image under a map stage) is built canonical directly and is not
 scanned again: the words it reads are already proven, and a stage's
 constructor proved that it maps admissible points to admissible points.
+BiPoint.joined builds a two-sided point from a cycle word read off an
+admissible point and an admissible one-sided tail: only the cycle's closing
+edge and its join to the tail are new, so it checks those two edges and
+nothing else.
+
+word_range, symbols and tail read slices of the prefix, middle and cycle
+words rather than one symbol at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +35,16 @@ from .errors import (
     VerificationFailed,
 )
 from .presentation import Presentation, Word, primitive_root, word
+
+
+def _periodic_slice(c: Word, start: int, stop: int) -> Word:
+    """Positions [start, stop) of the bi-infinite word c^Z, where position
+    k holds c[k mod |c|]."""
+    if start >= stop:
+        return ()
+    r = start % len(c)
+    stop += r - start
+    return (c * -(-stop // len(c)))[r:stop]
 
 
 @dataclass(frozen=True)
@@ -80,10 +97,16 @@ class EvPerPoint:
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
     def symbols(self, n: int) -> Word:
-        return tuple(self.symbol(i) for i in range(n))
+        return self.word_range(0, n)
 
     def word_range(self, a: int, b: int) -> Word:
-        return tuple(self.symbol(i) for i in range(a, b))
+        if a >= b:
+            return ()
+        if a < 0:
+            raise IndexError("one-sided points have no negative coordinates")
+        m = len(self.prefix)
+        return self.prefix[a:b] + _periodic_slice(self.cycle, max(a, m) - m,
+                                                  b - m)
 
     def starts_with(self, w: Word) -> bool:
         return self.symbols(len(w)) == tuple(w)
@@ -133,6 +156,9 @@ class BiPoint:
     Coordinate 0 of the point is the symbol at anchor position `phase`,
     where anchor position 0 is the first symbol of the middle (equivalently
     the start of the right-periodic tail when the middle is empty).
+
+    make scans the words it is given; joined trusts its parts and checks
+    only the two edges that join them (see there).  Both end in _canonical.
     """
 
     presentation: Presentation
@@ -146,11 +172,36 @@ class BiPoint:
         lc, mid, rc = word(left_cycle), word(middle), word(right_cycle)
         if not lc or not rc:
             raise InadmissibleWord("both cycles must be non-empty")
-        seq = lc + lc + mid + rc + rc
-        if not P.is_admissible(seq):
+        if not P.is_admissible(lc + lc + mid + rc + rc):
             raise InadmissibleWord("bi-infinite representation not admissible")
+        return BiPoint._canonical(P, lc, mid, rc, int(phase))
+
+    @staticmethod
+    def joined(P: Presentation, cycle: Word, tail: EvPerPoint,
+               phase: int) -> "BiPoint":
+        """cycle^inf . tail, with coordinate 0 at anchor position phase.
+
+        The parts are proven: cycle is a word read off an admissible point
+        of P and tail is an admissible point of P.  So cycle^inf . tail is
+        admissible exactly when cycle closes (cycle[-1] -> cycle[0]) and
+        joins the tail (cycle[-1] -> tail's first symbol), and those two
+        edges are all that is checked.
+        """
+        if not cycle:
+            raise InadmissibleWord("both cycles must be non-empty")
+        if not (P.has_edge(cycle[-1], cycle[0])
+                and P.has_edge(cycle[-1], tail.symbol(0))):
+            raise InadmissibleWord("bi-infinite representation not admissible")
+        return BiPoint._canonical(P, cycle, tail.prefix, tail.cycle, phase)
+
+    @staticmethod
+    def _canonical(P: Presentation, lc: Word, mid: Word, rc: Word,
+                   phase: int) -> "BiPoint":
+        """The canonical form of lc^inf . mid . rc^inf, without the scan.
+
+        Only make and joined, which prove the words admissible, call this.
+        """
         lc, rc = primitive_root(lc), primitive_root(rc)
-        phase = int(phase)
         # grow the right tail leftward through the middle
         while mid and mid[-1] == rc[-1]:
             mid = mid[:-1]
@@ -189,20 +240,24 @@ class BiPoint:
 
     # -- sequence access ----------------------------------------------------
 
-    def _anchor_symbol(self, a: int):
-        """Symbol at anchor position a (0 = first symbol of middle)."""
+    def symbol(self, j: int):
+        """Coordinate j of the point, at anchor position a = j + phase."""
+        a = j + self.phase
         if a < 0:
             return self.left_cycle[a % len(self.left_cycle)]
         if a < len(self.middle):
             return self.middle[a]
         return self.right_cycle[(a - len(self.middle)) % len(self.right_cycle)]
 
-    def symbol(self, j: int):
-        """Coordinate j of the point."""
-        return self._anchor_symbol(j + self.phase)
-
     def word_range(self, a: int, b: int) -> Word:
-        return tuple(self.symbol(j) for j in range(a, b))
+        """Coordinates [a, b): slices of the left cycle, the middle and the
+        right cycle."""
+        a += self.phase
+        b += self.phase
+        m = len(self.middle)
+        return (_periodic_slice(self.left_cycle, a, min(b, 0))
+                + self.middle[max(a, 0):max(b, 0)]
+                + _periodic_slice(self.right_cycle, max(a, m) - m, b - m))
 
     def tail(self, i: int) -> EvPerPoint:
         """The one-sided point x_[i, infinity), built canonical without make.
@@ -221,7 +276,7 @@ class BiPoint:
         if a >= m or self.is_periodic():
             r = (a - m) % len(rc)
             return EvPerPoint(self.presentation, (), rc[r:] + rc[:r])
-        left = tuple(self._anchor_symbol(t) for t in range(a, 0))
+        left = _periodic_slice(self.left_cycle, a, 0)
         return EvPerPoint(self.presentation, left + self.middle[max(a, 0):], rc)
 
     # -- dynamics -------------------------------------------------------------

@@ -58,6 +58,8 @@ class Presentation:
         for v in self.labels:
             if not self._in[v]:
                 raise ZeroRowOrColumn("column", self._index[v])
+        # points hash their presentation on every memo lookup
+        self._hash = hash((self.labels, self.edges))
 
     # -- basic structure ---------------------------------------------------
 
@@ -90,7 +92,7 @@ class Presentation:
                 and self.edges == other.edges)
 
     def __hash__(self):
-        return hash((self.labels, self.edges))
+        return self._hash
 
     def __repr__(self):
         return f"Presentation({len(self.labels)} vertices, {len(self.edges)} edges)"

@@ -24,9 +24,10 @@ from itertools import accumulate
 
 from .cohomology import positive_on_cycles
 from .cylinders import CylinderFunction
-from .errors import DegenerateN, InadmissibleWord, VerificationFailed
+from .errors import DegenerateN, InadmissibleWord, SftError, VerificationFailed
 from .points import BiPoint, EvPerPoint
 from .maps import PointMap
+from .presentation import Word
 
 
 class WeightProfile:
@@ -39,6 +40,10 @@ class WeightProfile:
     closed form for every j, and the weighted indices come from the stored
     non-zero positions.  A window missing from n's table raises
     InadmissibleWord.
+
+    r_over keeps what it reads at each integer floor i <= t < i + 1 (see
+    there), so a profile evaluates each floor once however many times and
+    denominators read it.
     """
 
     def __init__(self, n: CylinderFunction, bx: BiPoint):
@@ -50,13 +55,11 @@ class WeightProfile:
         self.right = len(bx.middle) - bx.phase
         self.end = self.right + self.q
         syms = bx.word_range(self.lo, self.end + w - 1)
-        vals = []
-        for k in range(self.end - self.lo):
-            v = n.table.get(syms[k:k + w])
-            if v is None:
-                raise InadmissibleWord(
-                    f"{syms[k:k + w]!r} is not in the table of n")
-            vals.append(v)
+        vals = [n.table.get(syms[k:k + w]) for k in range(self.end - self.lo)]
+        if None in vals:
+            k = vals.index(None)
+            raise InadmissibleWord(
+                f"{syms[k:k + w]!r} is not in the table of n")
         self.vals = vals
         self.pre = list(accumulate(vals, initial=0))
         self.nonzero = [self.lo + k for k, v in enumerate(vals) if v]
@@ -64,6 +67,7 @@ class WeightProfile:
         self.left_nonzero = [k for k in range(self.p) if vals[k]]
         self.right_nonzero = [k for k in range(self.q) if vals[r + k]]
         self.m0 = self._cumulative(0)
+        self._floors = {}
 
     def value(self, i: int) -> int:
         """n(x_[i, inf))."""
@@ -111,12 +115,18 @@ class WeightProfile:
         """r_x(a/d) for d > 0 as an unreduced pair (numerator, denominator).
 
         The denominator d (j - i) is positive, so numerator // denominator
-        is the floor of r_x(a/d).
+        is the floor of r_x(a/d).  Every t with the same floor has the same
+        i, j - i, m(i) and value(i); they are kept per floor, and a floor
+        whose indices raise DegenerateN is not stored.
         """
-        i = self._last_nonzero(a // d)
-        j = self._first_nonzero(a // d + 1)
-        return (self.m(i) * d * (j - i) + (a - i * d) * self.value(i),
-                d * (j - i))
+        f = a // d
+        floor = self._floors.get(f)
+        if floor is None:
+            i = self._last_nonzero(f)
+            floor = self._floors[f] = (i, self._first_nonzero(f + 1) - i,
+                                       self.m(i), self.value(i))
+        i, gap, mi, vi = floor
+        return mi * d * gap + (a - i * d) * vi, d * gap
 
     def _last_nonzero(self, i: int) -> int:
         """The largest k <= i with value(k) != 0."""
@@ -183,11 +193,13 @@ def m_eval(n: CylinderFunction, bx: BiPoint, j: int) -> int:
 class FlowMapData:
     """The verified data bundle a flow equivalence is evaluated from.
 
-    The bundle memoises two reads: phi's image of each one-sided point and
-    the WeightProfile of n along each two-sided point.  Each memo is keyed
-    by the whole (canonical, hence structural) point, so it returns only a
-    value computed from an equal input; it lives and dies with the bundle,
-    and primed() starts the mirror with empty memos.
+    The bundle memoises three reads: phi's image of each one-sided point,
+    the WeightProfile of n along each two-sided point, and bold_varphi's cut
+    for each left cycle (cut).  Each memo is keyed by a whole (canonical,
+    hence structural) point, so it returns only a value computed from an
+    equal input, and a failed computation is never stored; the memos live
+    and die with the bundle, and primed() starts the mirror with empty
+    memos.
     """
 
     def __init__(self, h: PointMap, k, l, k_prime, l_prime,
@@ -202,6 +214,7 @@ class FlowMapData:
         self.validated = validate
         self._images = {}
         self._profiles = {}
+        self._cuts = {}
         if validate:
             for name, fn, P in [("k", k, X), ("l", l, X), ("n", n, X),
                                 ("k'", k_prime, Y), ("l'", l_prime, Y),
@@ -256,6 +269,31 @@ class FlowMapData:
             w = self._profiles[bx] = WeightProfile(self.n, bx)
         return w
 
+    def cut(self, bx: BiPoint, profile: WeightProfile) -> tuple[int, Word]:
+        """bold_varphi's cut for bx's left cycle: (a*, b*), computed once per
+        left cycle.
+
+        z* = left_cycle^inf is canonical (the left cycle of a canonical
+        point is primitive) and keys the memo.  Q, n summed over one left
+        period, is profile.pre[p] for the profile of any point with this
+        left cycle.  b* = phi(z*)[0, Q) is a window of an admissible point.
+        The anchor a* is the largest multiple of p at most -clearance, where
+        the clearance W + width(n) + p comes from phi's continuity modulus:
+        W input symbols determine the Q + max(b) output symbols the cut
+        reads.  None of these depends on the phase.
+        """
+        z_star = EvPerPoint(bx.presentation, (), bx.left_cycle)
+        cut = self._cuts.get(z_star)
+        if cut is None:
+            p = profile.p
+            Q = profile.pre[p]
+            W = max(self.h.prefix_needed(Q + max(self.b.max_value(), 0)),
+                    self.b.width())
+            clearance = W + self.n.width() + p
+            cut = self._cuts[z_star] = (-clearance - (-clearance) % p,
+                                        self.phi(z_star).symbols(Q))
+        return cut
+
     def primed(self) -> "FlowMapData":
         """The same bundle read from the other side.
 
@@ -299,31 +337,23 @@ def bold_varphi(D: FlowMapData, bx: BiPoint) -> BiPoint:
     chosen from an explicit continuity modulus of phi, so the construction
     is exact rather than heuristic.
 
-    The cut sits at anchor position a* = i* + phase, the largest multiple of
-    the left period p that is at most -clearance.  Neither the clearance nor
-    a* depends on the phase, so every shift of a non-periodic point hands
-    D.phi the same z* and the same tail x_[i*, inf), and the bundle's memo
-    maps each once.  The image is still built from bx's own profile and
-    its own tail.
+    The cut sits at anchor position a* = i* + phase.  It and the left
+    cycle's image b* depend only on the left cycle, so D.cut computes them
+    once per left cycle, and every shift of a non-periodic point hands
+    D.phi the same tail x_[i*, inf), which the bundle's memo maps once.
+
+    The image b*^inf . phi(x_[i*, inf)) is built from proven parts: b* is a
+    window of the admissible point phi(z*) and the cut tail's image is
+    admissible, so BiPoint.joined checks only the two new edges, b*'s
+    closing edge and its join to the tail, and scans nothing else.
     """
     D._require_positive_cycles()
-    n = D.n
     profile = D.profile(bx)
-    p = profile.p
-    Q = profile.pre[p]  # n summed over one left period
-    bmax = max(D.b.max_value(), 0)
-    W = max(D.h.prefix_needed(Q + bmax), D.b.width())
-    clearance = W + n.width() + p
-    # the least coordinate i* with i* + phase = 0 mod p lying at least
-    # `clearance` inside the left-periodic region
-    i_star = -clearance - (-clearance) % p - bx.phase
-    # the left cycle of a canonical point is primitive: z* is canonical
-    z_star = EvPerPoint(bx.presentation, (), bx.left_cycle)
-    b_star = D.phi(z_star).symbols(Q)
+    a_star, b_star = D.cut(bx, profile)
+    i_star = a_star - bx.phase
     p_star = D.phi(bx.tail(i_star))
     m_star = profile.m(i_star)
-    img = BiPoint.make(D.codomain, b_star, p_star.prefix, p_star.cycle,
-                       -m_star)
+    img = BiPoint.joined(D.codomain, b_star, p_star, -m_star)
     if img.tail(m_star) != p_star:
         raise VerificationFailed(
             f"the two-sided image {img} does not continue "
@@ -435,18 +465,17 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
     claim is checked.
 
     Each distinct value is computed once.  The two-sided images are kept
-    for the call, phi's images and the weight profiles for the bundle
-    (FlowMapData's memos).  Per sample point x, the shifts sigma^j x (j in
-    j_range, p_range and 1) and the label are built up front, and the
-    r_over pair of each profile at each time a/d is kept, keyed by (a, d)
-    because a grid may mix denominators: r_{sigma x}(t) serves both the
-    time change at p = 1 and the suspension claim.  Each claim reads its
-    values in the order of its formula and a failed computation is never
-    stored, so the error a claim on a corrupted bundle reports does not
-    depend on what earlier claims computed.
+    for the call; phi's images, the cut of each left cycle and the weight
+    profiles are kept for the bundle (FlowMapData's memos), and each
+    profile keeps what r_over reads at each integer floor, for every time
+    and denominator on that floor: r_{sigma x}(t) serves both the time
+    change at p = 1 and the suspension claim.  Per sample point x, the
+    shifts sigma^j x (j in j_range, p_range and 1) and the label are built
+    up front.  Each claim reads its values in the order of its formula and
+    a failed computation is never stored, so the error a claim on a
+    corrupted bundle reports does not depend on what earlier claims
+    computed.
     """
-    from .errors import SftError
-
     sample = list(sample)
     for bx in sample:
         if bx.presentation is not D.domain and bx.presentation != D.domain:
@@ -467,13 +496,6 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
             y = images[bx] = bold_varphi(D, bx)
         return y
 
-    def r_over(w, a, d):
-        key = (w, a, d)
-        r = times.get(key)
-        if r is None:
-            r = times[key] = w.r_over(a, d)
-        return r
-
     def attempt(claim, params, thunk):
         try:
             passed, lhs, rhs = thunk()
@@ -487,7 +509,6 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
     for bx in sample:
         label = str(bx)
         shifted = {j: bx.shift(j) for j in {*js, *ps, 1}}
-        times = {}  # (profile, a, d) -> r_over pair, for this point
         for j in js:
             def equivariance():
                 lhs = phi2(bx).shift(D.profile(bx).m(j))
@@ -515,8 +536,8 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
                 wx, ws = D.profile(bx), D.profile(shifted[p])
                 mp = wx.m(p)
                 for t, (a, d) in zip(t_grid, grid):
-                    ln, ld = r_over(wx, a + p * d, d)
-                    rn, rd = r_over(ws, a, d)
+                    ln, ld = wx.r_over(a + p * d, d)
+                    rn, rd = ws.r_over(a, d)
                     if ln * rd != (rn + mp * rd) * ld:
                         return (False, f"r(t+p)={Fraction(ln, ld)} at t={t}",
                                 f"{Fraction(rn, rd) + mp}")
@@ -527,8 +548,8 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
         def representative():
             sx = shifted[1]
             for t, (a, d) in zip(t_grid, grid):
-                ya, (an, ad) = phi2(sx), r_over(D.profile(sx), a, d)
-                yb, (bn, bd) = phi2(bx), r_over(D.profile(bx), a + d, d)
+                ya, (an, ad) = phi2(sx), D.profile(sx).r_over(a, d)
+                yb, (bn, bd) = phi2(bx), D.profile(bx).r_over(a + d, d)
                 fa, fb = an // ad, bn // bd
                 if ((an - fa * ad) * bd != (bn - fb * bd) * ad
                         or ya.shift(fa) != yb.shift(fb)):

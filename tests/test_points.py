@@ -318,3 +318,44 @@ def test_tail_equals_make_of_its_raw_words(bx):
         raw = EvPerPoint.make(bx.presentation, bx.word_range(i, k),
                               bx.word_range(k, k + 2 * q))
         assert bx.tail(i) == raw
+
+
+# -- sliced reads equal symbol-by-symbol reads ---------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(two_sided(), st.integers(-16, 16), st.integers(-16, 16))
+def test_bipoint_word_range_reads_each_symbol(bx, a, b):
+    """word_range slices the left cycle, the middle and the right cycle; it
+    must read what symbol reads, on any range, empty ones (a >= b)
+    included, and on a range that crosses all three parts."""
+    assert bx.word_range(a, b) == tuple(bx.symbol(j) for j in range(a, b))
+    lo = -bx.phase - 2 * len(bx.left_cycle) - 1
+    hi = len(bx.middle) - bx.phase + 2 * len(bx.right_cycle) + 1
+    assert bx.word_range(lo, hi) == tuple(bx.symbol(j) for j in range(lo, hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_sided(), st.integers(0, 20), st.integers(0, 20))
+def test_evperpoint_sliced_reads_each_symbol(case, a, b):
+    p = EvPerPoint.make(*case)
+    assert p.word_range(a, b) == tuple(p.symbol(i) for i in range(a, b))
+    assert p.symbols(b) == tuple(p.symbol(i) for i in range(b))
+    assert p.word_range(-1, -1) == ()
+    with pytest.raises(IndexError):
+        p.word_range(-1, b + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 16), st.randoms(use_true_random=False))
+def test_equal_presentations_hash_equal(seed, rng):
+    """The hash is computed once, in __init__; two equal presentations
+    built separately, edges in another order, hash equal, and so do their
+    points."""
+    P = random_presentation(random.Random(seed))
+    edges = sorted(P.edges)
+    rng.shuffle(edges)
+    Q = Presentation(list(P.labels), edges)
+    assert Q is not P and Q == P and hash(Q) == hash(P)
+    cycle = P.cycles(3)[0]
+    assert hash(EvPerPoint(P, (), cycle)) == hash(EvPerPoint(Q, (), cycle))
+    assert {P: 1}[Q] == 1

@@ -288,6 +288,40 @@ def test_bold_varphi_image_check_raises_typed_error(full2, monkeypatch):
         bold_varphi(D, bx)
 
 
+@pytest.mark.parametrize("left, middle, right, fake", [
+    # phi(z*) = 1 0^inf: b* = (1,) does not close, 1 -> 1 is no edge
+    ((0,), (1,), (0,), ((1,), (0,))),
+    # phi(z*) = (01)^inf: b* = (0, 1) closes, but the cut tail starts with
+    # the left cycle's 1, and 1 -> 1 is no edge
+    ((1, 0), (), (0, 0, 1), ((), (0, 1))),
+])
+def test_image_junctions_are_checked(gm, monkeypatch, left, middle, right,
+                                     fake):
+    """An image is joined from b* = phi(z*)[0, Q) and the cut tail's image,
+    and only b*'s closing edge and its join to the tail are checked.  With
+    phi stubbed on z* so that one of the two edges is missing, every claim
+    that reads the image fails with the InadmissibleWord of that check; the
+    time-change claims, which read only n, still pass."""
+    D = identity_data(gm)
+    bx = BiPoint.make(gm, left, middle, right)
+    assert not bx.is_periodic() and bx.left_cycle == left
+    z_star = EvPerPoint(gm, (), bx.left_cycle)
+    phi = D.phi
+    monkeypatch.setattr(D, "phi", lambda x: EvPerPoint.make(gm, *fake)
+                        if x == z_star else phi(x))
+    rep = verify_flow_claims(D, [bx])
+    claims = Counter()
+    for r in rep.results:
+        claims[r.claim] += 1
+        if r.claim == "time-change-cocycle":
+            assert r.passed
+        else:
+            assert not r.passed
+            assert r.lhs == "error: bi-infinite representation not admissible"
+    assert claims == {"shift-equivariance": 9, "inverse-up-to-shift": 1,
+                      "time-change-cocycle": 7, "suspension-well-defined": 1}
+
+
 def _time_change_reference(n, bx, sp, p, grid):
     """The time-change claim as the Fraction formulas state it; sp stands
     for sigma^p bx."""
@@ -413,29 +447,37 @@ def test_each_value_is_computed_once_per_point(full2, std_exchange,
     """One non-periodic point at the default ranges: phi maps 4 distinct
     one-sided points (z* and the cut tail, for x and for the round trip),
     n's profile is built for the 9 distinct shifts and the image, and r is
-    read at 143 distinct (profile, time) pairs: 41 times of r_x and 17 for
-    each of the six other shifts.  Before the memos these were 20, 17 and
-    272."""
+    evaluated at 41 distinct (profile, integer floor) pairs, each once: 11
+    floors of r_x (t + p spans [-5, 6)) and 5 for each of the six other
+    shifts.  Before the memos these were 20, 17 and 272 r_over evaluations,
+    and before the floor memo 143 (profile, time) pairs.  No image goes
+    through BiPoint.make: each is joined from proven parts."""
     D = coe_to_flow_pipeline(OrbitEquivalence(std_exchange))
     bx = BiPoint.make(full2, (0,), (1, 1, 0), (0, 1), -1)
     assert not bx.is_periodic()
-    counts = Counter()
+    counts, floors = Counter(), Counter()
 
-    def spy(cls, name):
+    def spy(cls, name, on_call=None):
         fn = getattr(cls, name)
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            if on_call:
+                on_call(*args)
             return fn(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
 
     spy(PointMap, "apply")
     spy(WeightProfile, "__init__")
-    spy(WeightProfile, "r_over")
+    # r_over evaluates a floor f through _last_nonzero(f), once per miss
+    spy(WeightProfile, "_last_nonzero",
+        lambda profile, f: floors.update([(profile, f)]))
+    spy(BiPoint, "make")
     assert verify_flow_claims(D, [bx]).all_pass()
     assert counts["apply"] == 4
     assert counts["__init__"] <= 10
-    assert counts["r_over"] == 143
+    assert len(floors) == 41 and set(floors.values()) == {1}
+    assert counts["make"] == 0
 
 
 # -- the claim battery before its memos, kept as an oracle -------------------
