@@ -42,13 +42,12 @@ class Tower:
     def __init__(self, spec: TowerSpec):
         base, f = spec.base, spec.floors
         if f.depth > 1:
-            base, rec = higher_block(base, f.depth)
-            f = CylinderFunction(
-                base, 1, {(v,): f.value_on(rec.blocks[v]) for v in base.labels})
-            self.recoding = rec
+            # the higher-block vertices are the blocks themselves
+            base, _ = higher_block(base, f.depth)
+            f = CylinderFunction(base, 1,
+                                 {(v,): f.value_on(v) for v in base.labels})
         else:
             f = f.refine(1)
-            self.recoding = None
         self.base = base
         self.floors = f
         labels = []
@@ -62,33 +61,25 @@ class Tower:
         for a, b in base.edges:
             edges.append(((a, 0), (b, f.value_on((b,)) - 1)))
         self.presentation = Presentation(labels, edges)
-        self.spec = spec
 
     # -- the iota point maps -------------------------------------------------
 
-    def _block(self, v, top=None):
-        m = self.floors.value_on((v,))
-        start = m - 1 if top is None else top
-        return tuple((v, i) for i in range(start, -1, -1))
+    def _block(self, v):
+        top = self.floors.value_on((v,)) - 1
+        return tuple((v, i) for i in range(top, -1, -1))
 
     def iota(self, x: EvPerPoint, floor: int = 0) -> EvPerPoint:
-        """The tower point over x starting at the given floor of x_0."""
+        """The tower point over x starting at the given floor of x_0: the
+        point made of full blocks, shifted past the floors above it."""
         if x.presentation != self.base:
             raise ValueError("point does not live on the tower base")
         m0 = self.floors(x)
         if not (0 <= floor < m0):
             raise ZeroFloorValue(f"floor {floor} out of range for {x}")
-        pre = self._block(x.prefix[0], floor) if x.prefix else None
-        if pre is None:
-            # purely periodic: rotate so the image is built from the cycle
-            cyc = sum((self._block(s) for s in x.cycle), ())
-            img = EvPerPoint.make(self.presentation, (), cyc)
-            top = self.floors.value_on((x.cycle[0],)) - 1
-            return img.shift(top - floor)
-        for s in x.prefix[1:]:
-            pre = pre + self._block(s)
-        cyc = sum((self._block(s) for s in x.cycle), ())
-        return EvPerPoint.make(self.presentation, pre, cyc)
+        pre = sum(map(self._block, x.prefix), ())
+        cyc = sum(map(self._block, x.cycle), ())
+        img = EvPerPoint.make(self.presentation, pre, cyc)
+        return img.shift(m0 - 1 - floor)
 
     def decode(self, p: EvPerPoint):
         """Inverse of iota: (base point, floor) of a tower point.

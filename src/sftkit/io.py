@@ -28,7 +28,7 @@ import os
 from .cylinders import CylinderFunction
 from .cohomology import NegativeCycleWitness, PositivityCertificate
 from .errors import ParseError
-from .maps import prefix_exchange
+from .maps import BlockStage, PrefixExchangeStage, prefix_exchange
 from .orbit import OrbitEquivalence
 from .points import BiPoint, EvPerPoint
 from .presentation import Presentation, Word
@@ -207,6 +207,13 @@ def read_orbit_equivalence(path: str) -> OrbitEquivalence:
         oe v1
         compose first.oe second.oe
 
+    Optional ``vmap i j`` lines, one per domain vertex, give a vertex map
+    pi (a graph isomorphism, or an automorphism when domain and codomain
+    are equal); then ``map u -> v`` means h(u t) = v pi(t), with u in
+    domain indices and v in codomain indices.  Without vmap lines it
+    means h(u t) = v t, and differing domain and codomain files have
+    their vertices matched index by index.
+
     Paths are resolved relative to the file.  A file that composes itself,
     directly or through others, is a ParseError.
     """
@@ -289,13 +296,21 @@ def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
 
 def format_orbit_equivalence(h: OrbitEquivalence, domain_file: str,
                              codomain_file: str) -> str:
-    from .maps import PrefixExchangeStage
-    st = h.forward.stages
-    if len(st) != 1 or not isinstance(st[0], PrefixExchangeStage):
-        raise ValueError("only single prefix exchanges serialize to oe files")
+    """The oe v1 text of a prefix exchange, relabelled first or not; a
+    relabelling is written as one vmap line per domain vertex."""
+    *relabel, exchange = h.forward.stages or (None,)
+    if not isinstance(exchange, PrefixExchangeStage) or len(relabel) > 1 or \
+            any(not isinstance(st, BlockStage) or st.window != 1
+                or st.inverse.window != 1 for st in relabel):
+        raise ValueError("only prefix exchanges, relabelled or not, "
+                         "serialize to oe files")
     P, Q = h.domain, h.codomain
     out = ["oe v1", f"domain {domain_file}", f"codomain {codomain_file}"]
-    for u in P.sorted_words(st[0].pairing):
-        out.append(f"map {format_word(P, u)} -> "
-                   f"{format_word(Q, st[0].pairing[u])}")
+    pairing = exchange.pairing
+    for st in relabel:
+        out += [f"vmap {i} {Q.index(st.table[(a,)])}"
+                for i, a in enumerate(P.labels)]
+        pairing = {st.inverse.apply_word(u): v for u, v in pairing.items()}
+    for u in P.sorted_words(pairing):
+        out.append(f"map {format_word(P, u)} -> {format_word(Q, pairing[u])}")
     return "\n".join(out) + "\n"

@@ -2,13 +2,20 @@
 
 Three generators are supported and freely composed:
 
-* PrefixExchangeMap: a complete prefix code (u_i) of the domain is mapped
-  onto a complete prefix code (v_i) of the codomain, h(u_i t) = v_i pi(t),
-  where pi is a vertex correspondence (a graph isomorphism).
+* prefix exchanges: a complete prefix code (u_i) of a vertex shift is
+  mapped onto a complete prefix code (v_i) of the same shift,
+  h(u_i t) = v_i t.
 * SlidingBlockConjugacy: a block map with anticipation and no memory whose
   inverse is again a block map; these are exactly the one-sided
-  conjugacies between vertex shifts.
+  conjugacies between vertex shifts.  relabel_map is the 1-block case, a
+  graph isomorphism.
 * compositions of the above.
+
+prefix_exchange with a vertex map pi (a graph isomorphism from the domain
+onto the codomain, or an automorphism when the two are equal) gives
+h(u_i t) = v_i pi(t), with u_i words of the domain and v_i words of the
+codomain: the relabelling pi followed by the exchange pi(u_i) -> v_i on
+the codomain.  This is what the `vmap` lines of an `.oe` file mean.
 
 Each stage keeps, as `inverse`, the inverse stage its constructor proved;
 a PointMap reads its inverse off its stages and nothing re-checks it.
@@ -91,37 +98,22 @@ def relabel_stage(domain: Presentation, codomain: Presentation, mapping) -> Bloc
 
 
 class PrefixExchangeStage:
-    """h(u_i t) = v_i pi(t) for a paired pair of complete prefix codes."""
+    """h(u_i t) = v_i t for a paired pair of complete prefix codes of P."""
 
     inverse = None  # set by prefix_exchange
 
-    def __init__(self, domain: Presentation, codomain: Presentation,
-                 pairing, vertex_map=None):
-        self.domain = domain
-        self.codomain = codomain
+    def __init__(self, P: Presentation, pairing):
+        self.domain = self.codomain = P
         self.pairing = {word(u): word(v) for u, v in pairing.items()}
-        if vertex_map is None:
-            if domain != codomain:
-                raise InvalidCode("vertex map required between distinct shifts")
-            self.vertex_map = None
-            self.pi_stage = None
-            pi = {v: v for v in domain.labels}
-        else:
-            pi = dict(vertex_map)
-            self.pi_stage = relabel_stage(domain, codomain, pi)
-            self.vertex_map = pi
-        _check_complete_prefix_code(domain, set(self.pairing))
-        _check_complete_prefix_code(codomain, set(self.pairing.values()))
+        _check_complete_prefix_code(P, set(self.pairing))
+        _check_complete_prefix_code(P, set(self.pairing.values()))
         if len(set(self.pairing.values())) != len(self.pairing):
             raise InvalidCode("pairing must be a bijection")
         for u, v in self.pairing.items():
             if bool(u) != bool(v):
                 raise InvalidCode("empty word can only pair with empty word")
-            if u and v:
-                fu = frozenset(pi[s] for s in domain.follower_set(u[-1]))
-                if fu != codomain.follower_set(v[-1]):
-                    raise InvalidCode(
-                        f"follower mismatch on {u!r} -> {v!r}")
+            if u and P.follower_set(u[-1]) != P.follower_set(v[-1]):
+                raise InvalidCode(f"follower mismatch on {u!r} -> {v!r}")
         self.max_code_len = max(map(len, self.pairing), default=0)
         self._lengths = sorted({len(u) for u in self.pairing})
 
@@ -140,18 +132,13 @@ class PrefixExchangeStage:
                 return w
         raise InvalidCode("no code word matches; code is not complete")
 
-    def map_tail_symbol(self, s):
-        return s if self.vertex_map is None else self.vertex_map[s]
-
     def apply_point(self, p: EvPerPoint) -> EvPerPoint:
         """The image point; the code and follower checks in the constructor
         proved it admissible, so it is only normalised."""
         u = self.lookup(p.symbol)
-        v = self.pairing[u]
         t = p.shift(len(u))
-        pre = v + tuple(self.map_tail_symbol(s) for s in t.prefix)
-        cyc = tuple(self.map_tail_symbol(s) for s in t.cycle)
-        return EvPerPoint._canonical(self.codomain, pre, cyc)
+        return EvPerPoint._canonical(self.codomain, self.pairing[u] + t.prefix,
+                                     t.cycle)
 
     def __repr__(self):
         pairs = ",".join(f"{''.join(map(str, u))}~{''.join(map(str, v))}"
@@ -230,16 +217,25 @@ def identity_map(P: Presentation) -> PointMap:
 
 
 def prefix_exchange(P, pairing, codomain=None, vertex_map=None) -> PointMap:
-    """The inverse swaps the pairing and inverts the vertex map; it passes
-    the same checks."""
-    cod = codomain if codomain is not None else P
-    fwd = PrefixExchangeStage(P, cod, pairing, vertex_map)
-    inv_map = (None if fwd.vertex_map is None
-               else {b: a for a, b in fwd.vertex_map.items()})
-    bwd = PrefixExchangeStage(cod, P, {v: u for u, v in fwd.pairing.items()},
-                              inv_map)
+    """h(u t) = v pi(t).  With a vertex map pi this is relabel_map(P, Q, pi)
+    followed by the exchange pi(u) -> v on Q; without one, Q must be P.
+    The exchange's inverse swaps the pairing; it passes the same checks."""
+    Q = P if codomain is None else codomain
+    if vertex_map is None:
+        if P != Q:
+            raise InvalidCode("vertex map required between distinct shifts")
+        relabel = identity_map(P)
+    else:
+        relabel = relabel_map(P, Q, vertex_map)
+        pi = dict(vertex_map)
+        pairing = {word(u): v for u, v in pairing.items()}
+        if any(s not in pi for u in pairing for s in u):
+            raise InvalidCode("code words must be words of the domain")
+        pairing = {tuple(pi[s] for s in u): v for u, v in pairing.items()}
+    fwd = PrefixExchangeStage(Q, pairing)
+    bwd = PrefixExchangeStage(Q, {v: u for u, v in fwd.pairing.items()})
     fwd.inverse, bwd.inverse = bwd, fwd
-    return PointMap(P, cod, (fwd,))
+    return relabel.then(PointMap(Q, Q, (fwd,)))
 
 
 def sliding_block_conjugacy(domain, codomain, table, inverse_table) -> PointMap:
@@ -322,15 +318,8 @@ def image_form(stages, base: Word) -> SymImage:
             ahead += a
         else:
             u = st.lookup(S.symbol)
-            v = st.pairing[u]
-            if len(u) <= len(W):
-                rest = tuple(st.map_tail_symbol(s) for s in W[len(u):])
-                W = v + rest
-            else:
-                m += len(u) - len(W)
-                W = v
-            if st.pi_stage is not None:
-                tail = st.pi_stage.apply_word(tail)
+            m += max(len(u) - len(W), 0)
+            W = st.pairing[u] + W[len(u):]
     return SymImage(W, tail, m, ahead)
 
 

@@ -16,6 +16,8 @@ GOLDEN = "sft v1\nvertices 2\nedge 0 0\nedge 0 1\nedge 1 0\n"
 FULL2 = "sft v1\nvertices 2\nedge 0 0\nedge 0 1\nedge 1 0\nedge 1 1\n"
 PE = ("oe v1\ndomain full2.sft\ncodomain full2.sft\n"
       "map 0 -> 10\nmap 10 -> 0\nmap 11 -> 11\n")
+# the same exchange after the vertex flip 0 <-> 1: h(u t) = v pi(t)
+VM = PE.replace("map 0", "vmap 0 1\nvmap 1 0\nmap 0", 1)
 
 
 @pytest.fixture
@@ -23,6 +25,7 @@ def tree(tmp_path):
     (tmp_path / "golden.sft").write_text(GOLDEN)
     (tmp_path / "full2.sft").write_text(FULL2)
     (tmp_path / "pe.oe").write_text(PE)
+    (tmp_path / "vm.oe").write_text(VM)
     (tmp_path / "fn.fn").write_text("fn depth=2\n00 1\n01 -1\n10 2\n11 0\n")
     (tmp_path / "neg.fn").write_text("fn depth=1\n0 -1\n1 3\n")
     return tmp_path
@@ -64,13 +67,19 @@ def test_point_syntax(full2):
 
 
 def test_oe_roundtrip(tree):
-    h = sio.read_orbit_equivalence(str(tree / "pe.oe"))
-    assert h.domain == full_shift(2)
-    text = sio.format_orbit_equivalence(h, "full2.sft", "full2.sft")
-    (tree / "again.oe").write_text(text)
-    h2 = sio.read_orbit_equivalence(str(tree / "again.oe"))
-    x = EvPerPoint.make(h.domain, (), (0,))
-    assert h(x) == h2(x)
+    # a file written by format_orbit_equivalence reads back as the same map,
+    # and the files here are already in its canonical form
+    x = EvPerPoint.make(full_shift(2), (0, 0, 1), (0,))
+    for name, text, image in [("pe.oe", PE, "1001/0"), ("vm.oe", VM, "1010/1")]:
+        h = sio.read_orbit_equivalence(str(tree / name))
+        assert h.domain == full_shift(2)
+        assert sio.format_point(h.domain, h(x)) == image
+        again = sio.format_orbit_equivalence(h, "full2.sft", "full2.sft")
+        assert again == text
+        (tree / "again.oe").write_text(again)
+        h2 = sio.read_orbit_equivalence(str(tree / "again.oe"))
+        for y in (x, EvPerPoint.make(h.domain, (), (0,))):
+            assert h(y) == h2(y)
 
 
 def test_oe_composition_file(tree):
@@ -133,25 +142,32 @@ def test_cli_json_deterministic(tree, capsys):
     assert payload["claims_failed"] == 0
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (["pipeline", "--seed", "3", "--samples", "16"],
+@pytest.mark.parametrize("source, argv, digest", [
+    ("pe.oe", ["pipeline", "--seed", "3", "--samples", "16"],
      "59f913346f8988a8d373f7485f6c6f90595c88460dd8e92b01da1cbae0940633"),
-    (["verify-claims", "--seed", "3", "--samples", "8"],
+    ("pe.oe", ["verify-claims", "--seed", "3", "--samples", "8"],
      "4bc1dfe02fc9e5b3ed8cc2c2937c3496049c04a17cb994b88f6ccfbb0ef9b2e2"),
-    (["verify-claims", "--seed", "5", "--samples", "6", "--j-range", "-1",
-      "6", "--t-grid", "-3", "1"],
+    ("pe.oe", ["verify-claims", "--seed", "5", "--samples", "6",
+               "--j-range", "-1", "6", "--t-grid", "-3", "1"],
      "b56e8b5ce9cb917d612b24816056296b0d38a3f2a8a8cb1006b7547ffae29b5d"),
-    (["derive-cocycles"],
+    ("pe.oe", ["derive-cocycles"],
      "68f136efdbdcd9a973060fa02b0121a79b385078a0cb3b7d195acb169aa01779"),
-    (["verify-coe"],
+    ("pe.oe", ["verify-coe"],
+     "955cbfae4cff16bc5a30493605f1d1dd2e45d5f162b2f10ac6b767ddc21ef75d"),
+    ("vm.oe", ["pipeline", "--seed", "3", "--samples", "16"],
+     "419763b4a45055519781008effe621220cbdd7cc723e61bb872dbcabe98b5d8c"),
+    ("vm.oe", ["derive-cocycles"],
+     "c504b21edcac2e8b40fd3c8d3fb50027b360cfba85678b9a83fb3f269b8ecf9e"),
+    ("vm.oe", ["verify-coe"],
      "955cbfae4cff16bc5a30493605f1d1dd2e45d5f162b2f10ac6b767ddc21ef75d"),
 ], ids=["pipeline", "verify-claims", "verify-claims-ranges",
-        "derive-cocycles", "verify-coe"])
-def test_cli_json_digests_are_pinned(tree, capsys, argv, digest):
+        "derive-cocycles", "verify-coe", "vm-pipeline", "vm-derive-cocycles",
+        "vm-verify-coe"])
+def test_cli_json_digests_are_pinned(tree, capsys, source, argv, digest):
     # the --json contract: these bytes do not depend on the file's path, so
     # any change to them is a change of the output format or of a result
     verb, *flags = argv
-    assert main([verb, str(tree / "pe.oe"), "--json", *flags]) == 0
+    assert main([verb, str(tree / source), "--json", *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

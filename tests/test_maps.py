@@ -40,6 +40,10 @@ def test_prefix_exchange_point_examples(full2, std_exchange):
         EvPerPoint.make(full2, (), (0, 1))
     assert h(EvPerPoint.make(full2, (), (1,))) == \
         EvPerPoint.make(full2, (), (1,))
+    # with a vertex map pi, h(u t) = v pi(t): 0.01000... -> 10.10111...
+    g = prefix_exchange(full2, h.stages[0].pairing, full2, {0: 1, 1: 0})
+    assert g(EvPerPoint.make(full2, (0, 0, 1), (0,))) == \
+        EvPerPoint.make(full2, (1, 0, 1, 0), (1,))
 
 
 def test_prefix_exchange_is_bijective_on_samples(full2, std_exchange):
@@ -67,6 +71,17 @@ def test_prefix_exchange_rejects_bad_codes(full2, gm):
         # follower data broken on the golden mean: 1 has followers {0},
         # 0 has followers {0,1}
         prefix_exchange(gm, {word("0"): word("1"), word("1"): word("0")})
+    # vertex maps: not a graph isomorphism, not a bijection, a code word
+    # with a symbol outside the domain, and none between distinct shifts
+    pairing = {word("0"): word("10"), word("10"): word("0"),
+               word("11"): word("11")}
+    for codomain, pi, code in [(gm, {0: 0, 1: 1}, pairing),
+                               (full2, {0: 0}, pairing),
+                               (full2, {0: 1, 1: 0},
+                                {**pairing, word("2"): word("11")}),
+                               (gm, None, pairing)]:
+        with pytest.raises(InvalidCode):
+            prefix_exchange(full2, code, codomain, pi)
 
 
 def test_golden_mean_prefix_exchange():
@@ -309,13 +324,10 @@ def chain_image_form(stages, base: Word, P: Presentation) -> ChainImage:
             u = st.lookup(partial(ChainImage(W, chain, m).symbol, base))
             v = st.pairing[u]
             if len(u) <= len(W):
-                rest = tuple(st.map_tail_symbol(s) for s in W[len(u):])
-                W = v + rest
+                W = v + W[len(u):]
             else:
                 m += len(u) - len(W)
                 W = v
-            if st.pi_stage is not None:
-                chain = chain + (st.pi_stage,)
     return ChainImage(W, chain, m)
 
 
@@ -436,7 +448,7 @@ SEEDS = st.integers(0, 2 ** 16)
 
 def _relabelled(h):
     """h's single prefix exchange onto a copy of its domain with every
-    label moved up by 10, so that the stage carries a vertex map."""
+    label moved up by 10, so that it is built with a vertex map."""
     (stage,) = h.forward.stages
     P = stage.domain
     Q = Presentation([a + 10 for a in P.labels],
@@ -457,8 +469,7 @@ def _raw_image(stage, p):
         (u,) = [u for u in stage.pairing if p.starts_with(u)]
         v = stage.pairing[u]
         k = len(v) + len(p.prefix) + nc
-        img = v + tuple(map(stage.map_tail_symbol,
-                            p.word_range(len(u), len(u) + k + 2 * nc)))
+        img = v + p.word_range(len(u), len(u) + k + 2 * nc)
     return img[:k], img[k:k + 2 * nc]
 
 
@@ -479,7 +490,7 @@ def test_prefix_exchange_output_equals_make_of_its_raw_words(seed, vmap,
     except InvalidCode:
         assume(False)
     pm = _relabelled(h) if vmap else h.forward
-    assert (pm.stages[0].vertex_map is not None) == vmap
+    assert isinstance(pm.stages[0], BlockStage) == vmap
     _check_stages(pm.stages + pm.inverse().stages, data)
 
 

@@ -43,6 +43,7 @@ from sftkit.suspension import (
     find_round_trip_shift,
     robert_bound,
 )
+from tests.test_maps import _relabelled
 
 
 def identity_data(P):
@@ -632,6 +633,9 @@ def test_claims_match_the_battery_without_memos(full2, full3, gm,
     maps += [OrbitEquivalence(std_exchange).compose(
                  random_prefix_exchange(rng, full2, 2)),
              random_split_conjugacy(rng, gm, 3)]
+    # an exchange built with a vertex map, drawn apart from the rest
+    maps.append(OrbitEquivalence(
+        _relabelled(random_prefix_exchange(random.Random(23), gm, 2))))
     thirds = [Fraction(q, 3) for q in range(-4, 5)]
     mixed = [Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)]
     options = [{}, {"j_range": (2, 5), "p_range": (-1, 2)},
