@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success / verified, 1 verified false (counterexamples in the
-output), 2 input error, 3 bound exceeded or inconclusive.  All output is
-deterministic for fixed inputs and flags; --json emits sorted JSON.
+output), 2 input error, 3 inconclusive round trip (pipeline and
+verify-claims).  Cocycles are derived as deep as the map's stages prove,
+with no depth option.  All output is deterministic for fixed inputs and
+flags; --json emits sorted JSON.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .cohomology import (
 )
 from .cylinders import CylinderFunction
 from .errors import (
-    DepthExceeded,
     InvalidPartition,
     LeastPeriodViolation,
     NotPositiveClass,
@@ -179,7 +180,7 @@ def cmd_positive(args):
 
 def cmd_derive_cocycles(args):
     h = sio.read_orbit_equivalence(args.oe)
-    pair = derive_cocycle_pair(h, args.depth)
+    pair = derive_cocycle_pair(h)
     P = h.domain
     lines = [f"depth {pair.depth}"]
     for w in P.sorted_words(pair.k.table):
@@ -194,8 +195,8 @@ def cmd_derive_cocycles(args):
 
 def cmd_verify_coe(args):
     h = sio.read_orbit_equivalence(args.oe)
-    pair = derive_cocycle_pair(h, args.depth)
-    pair_prime = derive_cocycle_pair(h.inverse(), args.depth)
+    pair = derive_cocycle_pair(h)
+    pair_prime = derive_cocycle_pair(h.inverse())
     rep = verify_coe(h, pair, pair_prime)
     lines = [f"verified: {str(rep.verified).lower()}",
              f"least-period preserving: "
@@ -222,7 +223,7 @@ def _claims_exit(rep):
 
 def cmd_pipeline(args):
     h = sio.read_orbit_equivalence(args.oe)
-    D = coe_to_flow_pipeline(h, max_depth=args.depth, scoe=args.scoe)
+    D = coe_to_flow_pipeline(h, scoe=args.scoe)
     sample = _claim_sample(h, args.seed, args.samples)
     rep = verify_flow_claims(D, sample)
     summary = {
@@ -246,7 +247,7 @@ def cmd_pipeline(args):
 
 def cmd_verify_claims(args):
     h = sio.read_orbit_equivalence(args.oe)
-    D = coe_to_flow_pipeline(h, max_depth=args.depth)
+    D = coe_to_flow_pipeline(h)
     sample = _claim_sample(h, args.seed, args.samples)
     grid = quarter_grid(args.t_grid[0], args.t_grid[1])
     rep = verify_flow_claims(D, sample, j_range=tuple(args.j_range),
@@ -349,20 +350,17 @@ def build_parser():
 
     p = sub.add_parser("derive-cocycles", help="minimal cocycle pair of an OE")
     p.add_argument("oe")
-    p.add_argument("--depth", type=int, default=12)
     common(p)
     p.set_defaults(fn=cmd_derive_cocycles)
 
     p = sub.add_parser("verify-coe",
                        help="verify the cocycle identities and least periods")
     p.add_argument("oe")
-    p.add_argument("--depth", type=int, default=12)
     common(p)
     p.set_defaults(fn=cmd_verify_coe)
 
     p = sub.add_parser("pipeline", help="orbit equivalence to flow data")
     p.add_argument("oe")
-    p.add_argument("--depth", type=int, default=12)
     p.add_argument("--scoe", action="store_true",
                    help="prefer the strong-equivalence decomposition")
     p.add_argument("--samples", type=int, default=8)
@@ -372,7 +370,6 @@ def build_parser():
 
     p = sub.add_parser("verify-claims", help="flow-claim report for an OE")
     p.add_argument("oe")
-    p.add_argument("--depth", type=int, default=12)
     p.add_argument("--j-range", type=int, nargs=2, default=[-4, 4])
     p.add_argument("--t-grid", type=int, nargs=2, default=[-2, 2],
                    help="quarter-step grid endpoints")
@@ -394,8 +391,7 @@ def build_parser():
 def _check_args(args):
     """Reject counts and ranges that would leave a command nothing to check
     or crash it."""
-    for name, flag in (("m", "-m"), ("samples", "--samples"),
-                       ("depth", "--depth")):
+    for name, flag in (("m", "-m"), ("samples", "--samples")):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise _BadArgument(f"{flag} must be at least 1, got {value}")
@@ -413,9 +409,6 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.fn(args)
-    except DepthExceeded as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
-        return INCONCLUSIVE
     except (LeastPeriodViolation, NotPositiveClass, VerificationFailed) as e:
         print(f"verified false: {e}", file=sys.stderr)
         return FALSIFIED

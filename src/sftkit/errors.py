@@ -44,6 +44,10 @@ class InvalidCode(SftError):
     pass
 
 
+class InvalidVertexMap(InvalidCode):
+    """A vertex map that is not a graph isomorphism onto the codomain."""
+
+
 class NotTailEquivalent(SftError):
     pass
 
@@ -98,10 +102,6 @@ class NotPositiveClass(SftError):
 
 
 class DegenerateN(SftError):
-    pass
-
-
-class DepthExceeded(SftError):
     pass
 
 

@@ -84,23 +84,15 @@ class Tower:
     def decode(self, p: EvPerPoint):
         """Inverse of iota: (base point, floor) of a tower point.
 
-        Blocks are stripped one at a time, recording the base symbol each
-        carries, until the remaining tower point repeats.
+        Every block ends on floor 0, so the base symbols are the floor-0
+        symbols of p, read in order.
         """
         if p.presentation != self.presentation:
             raise ValueError("point does not live on the tower shift")
-        floor = p.symbol(0)[1]
-        rest = p
-        out = []
-        states = {}
-        while rest not in states:
-            states[rest] = len(out)
-            v, i = rest.symbol(0)
-            out.append(v)
-            rest = rest.shift(i + 1)
-        start = states[rest]
-        x = EvPerPoint.make(self.base, tuple(out[:start]), tuple(out[start:]))
-        return x, floor
+        x = EvPerPoint.make(self.base,
+                            tuple(v for v, i in p.prefix if i == 0),
+                            tuple(v for v, i in p.cycle if i == 0))
+        return x, p.symbol(0)[1]
 
     # -- cross section ------------------------------------------------------
 

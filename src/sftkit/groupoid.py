@@ -182,15 +182,13 @@ def tower_iso(theta: TowerGroupoidElement, tower) -> GroupoidElement:
 
     With canonical witnesses (l, k) of the base element, the image is
     (iota(x, i), i - j + sum_{h<=l} f(sigma^h x) - sum_{h<=k} f(sigma^h y),
-    iota(y, j)).
+    iota(y, j)): the degree adds the cocycle of f o sigma at the base
+    element.
     """
     f = tower.floors
     eta, i, j = theta.base, theta.floor_range, theta.floor_source
     if not (0 <= i < f(eta.range_pt) and 0 <= j < f(eta.source_pt)):
         raise FloorOutOfRange(str(theta))
-    lw, kw = eta.witnesses
-    x, y = eta.range_pt, eta.source_pt
-    deg = (i - j
-           + sum(f(x.shift(h)) for h in range(1, lw + 1))
-           - sum(f(y.shift(h)) for h in range(1, kw + 1)))
-    return make_element(tower.iota(x, i), deg, tower.iota(y, j))
+    deg = i - j + groupoid_cocycle_eval(f.pullback(), eta)
+    return make_element(tower.iota(eta.range_pt, i), deg,
+                        tower.iota(eta.source_pt, j))

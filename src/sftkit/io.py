@@ -27,7 +27,7 @@ import os
 
 from .cylinders import CylinderFunction
 from .cohomology import NegativeCycleWitness, PositivityCertificate
-from .errors import ParseError
+from .errors import InvalidVertexMap, ParseError, SftError
 from .maps import BlockStage, PrefixExchangeStage, prefix_exchange
 from .orbit import OrbitEquivalence
 from .points import BiPoint, EvPerPoint
@@ -215,7 +215,8 @@ def read_orbit_equivalence(path: str) -> OrbitEquivalence:
     their vertices matched index by index.
 
     Paths are resolved relative to the file.  A file that composes itself,
-    directly or through others, is a ParseError.
+    directly or through others, is a ParseError, and so is a bad vertex map
+    (at its first vmap line) or a bad code (at its first map line).
     """
     return _read_orbit_equivalence(path, ())
 
@@ -288,10 +289,12 @@ def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
     elif domain != codomain:
         vertex_map = dict(zip(domain.labels, codomain.labels))
     try:
-        pm = prefix_exchange(domain, pairing, codomain, vertex_map)
-        return OrbitEquivalence(pm)
-    except Exception as e:
-        raise ParseError(path, 1, f"invalid orbit equivalence: {e}")
+        return OrbitEquivalence(
+            prefix_exchange(domain, pairing, codomain, vertex_map))
+    except SftError as e:
+        rows = vmap_rows if isinstance(e, InvalidVertexMap) else pairs
+        raise ParseError(path, rows[0][0] if rows else 1,
+                         f"invalid orbit equivalence: {e}")
 
 
 def format_orbit_equivalence(h: OrbitEquivalence, domain_file: str,

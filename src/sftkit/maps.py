@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InadmissibleWord, InvalidCode, NeedDepth
+from .errors import InadmissibleWord, InvalidCode, InvalidVertexMap, NeedDepth
 from .points import EvPerPoint
 from .presentation import Presentation, Word, word
 
@@ -86,14 +86,17 @@ class BlockStage:
 def relabel_stage(domain: Presentation, codomain: Presentation, mapping) -> BlockStage:
     """1-block stage from a vertex bijection (must be a graph isomorphism)."""
     mapping = dict(mapping)
+    for a in domain.labels:
+        if a not in mapping:
+            raise InvalidVertexMap(f"vertex map gives vertex {a!r} no image")
     if set(mapping) != set(domain.labels) or \
             set(mapping.values()) != set(codomain.labels):
-        raise InvalidCode("vertex map must biject the vertex sets")
+        raise InvalidVertexMap("vertex map must biject the vertex sets")
     for a, b in domain.edges:
         if not codomain.has_edge(mapping[a], mapping[b]):
-            raise InvalidCode("vertex map is not a graph isomorphism")
+            raise InvalidVertexMap("vertex map is not a graph isomorphism")
     if len(domain.edges) != len(codomain.edges):
-        raise InvalidCode("vertex map is not a graph isomorphism")
+        raise InvalidVertexMap("vertex map is not a graph isomorphism")
     return BlockStage(domain, codomain, {(a,): mapping[a] for a in domain.labels})
 
 

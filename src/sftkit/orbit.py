@@ -19,12 +19,7 @@ from .cohomology import (
     solve_coboundary,
 )
 from .cylinders import CylinderFunction, orbit_sum
-from .errors import (
-    DepthExceeded,
-    LeastPeriodViolation,
-    NeedDepth,
-    VerificationFailed,
-)
+from .errors import LeastPeriodViolation, NeedDepth, VerificationFailed
 from .maps import (
     PointMap,
     minimal_cocycle_on_cylinder,
@@ -105,7 +100,7 @@ class COEReport:
         }
 
 
-def derive_cocycle_pair(h: OrbitEquivalence, max_depth: int = 12) -> CocyclePair:
+def derive_cocycle_pair(h: OrbitEquivalence) -> CocyclePair:
     """Per-cylinder minimal (k, l) for the forward map, as cylinder
     functions of one uniform depth.
 
@@ -113,9 +108,21 @@ def derive_cocycle_pair(h: OrbitEquivalence, max_depth: int = 12) -> CocyclePair
     sigma(x) are both determined; the minimal valid pair on each resolved
     cylinder is then constant on all of its refinements.  Each resolution
     proves the identity there, so the pair is proven for h.forward.
+
+    Every cylinder of length B = h.forward.prefix_needed(1) resolves, B
+    being 1 plus the stages' reaches (anticipation for a block stage,
+    max_code_len for an exchange).  (i) At each stage image_form reads
+    T(x) only below index m + reach, with m at most the exchange reaches
+    before it, and T(x)[j] needs j + 1 + lookahead symbols: the image of x
+    is determined once |w| >= prefix_needed(0).  (ii) _cocycle_sides
+    builds the image of sigma(x) from w[1:], one symbol more.  (iii)
+    _mismatches reads one side's tail only where the other side's prefix
+    still stands, below that side's shift, which image_form resolved.  A
+    cylinder asking for more than B is a broken proof: VerificationFailed.
     """
     P = h.domain
     stages = h.forward.stages
+    bound = h.forward.prefix_needed(1)
     resolved = {}
     work = P.words(1)
     while work:
@@ -123,9 +130,10 @@ def derive_cocycle_pair(h: OrbitEquivalence, max_depth: int = 12) -> CocyclePair
         try:
             resolved[w] = minimal_cocycle_on_cylinder(stages, w)
         except NeedDepth as e:
-            if e.needed > max_depth:
-                raise DepthExceeded(
-                    f"cylinder {w!r} unresolved at depth {max_depth}")
+            if e.needed > bound:
+                raise VerificationFailed(
+                    f"cylinder {w!r} needs depth {e.needed}, past the "
+                    f"bound {bound} of the map's stages")
             work.extend(P.extensions(w))
     depth = max(len(w) for w in resolved)
     ktab, ltab = {}, {}
@@ -145,9 +153,8 @@ def _verify_pair_on(P: Presentation, pm: PointMap, pair: CocyclePair):
     Cylinders are refined while the comparison needs more symbols; the
     pair's values stay those of the governing cylinder.  The comparison
     reads only symbols that minimal_cocycle_on_cylinder reads, so the
-    refinement ends by the depth of the pair derived for pm (DepthExceeded
-    when that derivation stalls).  When only one walk leaves w[-1], Z(w)
-    is one point, which settles it.
+    refinement ends by the depth of the pair derived for pm.  When only
+    one walk leaves w[-1], Z(w) is one point, which settles it.
     """
     failures = []
     d = pair.depth
@@ -270,19 +277,19 @@ def _decompose(P, pair: CocyclePair, transfer, certificate=None):
     return (*certificate.lifted(pair.l), 0)
 
 
-def coe_to_flow_pipeline(h: OrbitEquivalence, max_depth: int = 12,
-                         scoe: bool = False) -> FlowMapData:
+def coe_to_flow_pipeline(h: OrbitEquivalence, scoe: bool = False) -> FlowMapData:
     """Derive, verify, decompose: the executable route from an orbit
     equivalence to flow-map data.
 
-    Raises DepthExceeded when derivation stalls, LeastPeriodViolation when
-    the derived pair does not preserve least periods (a class of l - k that
-    is not positive included), and NotPositiveClass if the class of
-    l' - k' is not positive, which would contradict the existence theorem
-    and is surfaced loudly.
+    Raises LeastPeriodViolation when the derived pair does not preserve
+    least periods (a class of l - k that is not positive included), and
+    NotPositiveClass if the class of l' - k' is not positive, which would
+    contradict the existence theorem and is surfaced loudly.  Derivation
+    takes no depth option: past the depth its map's stages prove, it
+    raises VerificationFailed (see derive_cocycle_pair).
     """
-    pair = derive_cocycle_pair(h, max_depth)
-    pair_prime = derive_cocycle_pair(h.inverse(), max_depth)
+    pair = derive_cocycle_pair(h)
+    pair_prime = derive_cocycle_pair(h.inverse())
     report = verify_coe(h, pair, pair_prime)
     if not report.least_period_preserving:
         raise LeastPeriodViolation(report.lp_witnesses)

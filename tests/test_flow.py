@@ -87,6 +87,33 @@ def test_first_return_generates_orbit(gm):
         assert p == tw.iota(x.shift(step), 0)
 
 
+def test_decode_follows_the_tower_walk():
+    """decode reads the base point off the floor-0 symbols: along a walk
+    from iota(x, top), each step goes down a floor or, from floor 0, to
+    the top of the next block, and decode tracks (base point, floor)."""
+    from sftkit.samples import random_point
+    rng = random.Random(4)
+    floors_seen = set()
+    for _ in range(40):
+        P = random_presentation(rng, 4)
+        f = CylinderFunction(P, 1, {w: rng.randint(1, 4)
+                                    for w in P.language(1)})
+        tw = Tower(TowerSpec(P, f))
+        x = random_point(rng, P)
+        floor = f(x) - 1
+        p = tw.iota(x, floor)
+        for _ in range(12):
+            assert tw.decode(p) == (x, floor)
+            floors_seen.add(floor)
+            p = p.shift(1)
+            if floor:
+                floor -= 1
+            else:
+                x = x.shift(1)
+                floor = f(x) - 1
+    assert floors_seen == {0, 1, 2, 3}
+
+
 def test_iota_intertwines_shift(gm):
     # iota at floor 0 then one tower step per floor recovers sigma
     g = CylinderFunction.from_values(gm, {"0": 1, "1": 2})

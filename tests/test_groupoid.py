@@ -237,3 +237,33 @@ def test_tower_iso_homomorphism(gm):
         assert lhs == rhs
         assert tower_iso(tower_invert(t1, f), tower) == \
             invert(tower_iso(t1, tower))
+
+
+def test_tower_iso_degree_is_the_floor_sum():
+    """With least witnesses (l, k) of the base element the degree is
+    i - j + sum_{1<=h<=l} f(sigma^h x) - sum_{1<=h<=k} f(sigma^h y)."""
+    from sftkit.samples import random_presentation
+    rng = random.Random(12)
+    witnesses = set()
+    for _ in range(60):
+        P = random_presentation(rng, 4)
+        f = CylinderFunction(P, 1, {w: rng.randint(1, 3)
+                                    for w in P.language(1)})
+        tower = Tower(TowerSpec(P, f))
+        z = random_point(rng, P)
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        x, y = z.shift(a), z.shift(b)
+        eta = make_element(x, b - a + rng.randint(-2, 2) * z.least_period(),
+                           y)
+        i, j = rng.randrange(f(x)), rng.randrange(f(y))
+        lw, kw = eta.witnesses
+        want = (i - j + sum(f(x.shift(h)) for h in range(1, lw + 1))
+                - sum(f(y.shift(h)) for h in range(1, kw + 1)))
+        out = tower_iso(make_tower_element(eta, i, j, f), tower)
+        assert out.degree == want
+        assert out.range_pt == tower.iota(x, i)
+        assert out.source_pt == tower.iota(y, j)
+        witnesses.add((lw > 0, kw > 0))
+    assert witnesses == {(True, False), (False, True), (True, True),
+                         (False, False)}
+

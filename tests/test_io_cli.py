@@ -261,14 +261,9 @@ def test_cli_bad_const_spec_is_an_input_error(tree, capsys, verb, spec):
     (["verify-claims", "pe.oe", "--samples", "0"], "--samples"),
     (["groupoid-check", "full2.sft", "--samples", "-2"], "--samples"),
     (["language", "full2.sft", "-m", "0"], "-m"),
-    (["derive-cocycles", "pe.oe", "--depth", "0"], "--depth"),
-    (["verify-coe", "pe.oe", "--depth", "-3"], "--depth"),
-    (["pipeline", "pe.oe", "--depth", "0"], "--depth"),
-    (["verify-claims", "pe.oe", "--depth", "-3"], "--depth"),
 ], ids=["reversed-t-grid", "reversed-j-range", "negative-samples",
         "no-samples", "no-claim-samples", "negative-groupoid-samples",
-        "empty-words", "no-derive-depth", "negative-coe-depth",
-        "no-pipeline-depth", "negative-claims-depth"])
+        "empty-words"])
 def test_cli_rejects_vacuous_or_crashing_arguments(tree, capsys, argv,
                                                    message):
     """Arguments that would check nothing, or crash the command, are input
@@ -279,6 +274,56 @@ def test_cli_rejects_vacuous_or_crashing_arguments(tree, capsys, argv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("verb", ["derive-cocycles", "verify-coe",
+                                  "pipeline", "verify-claims"])
+def test_cli_has_no_depth_option(tree, capsys, verb):
+    """Cocycles are derived as deep as the map's stages prove, so no verb
+    takes --depth: argparse rejects it with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main([verb, str(tree / "pe.oe"), "--depth", "13"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --depth 13" in captured.err
+
+
+def _write_there_and_back(tree, L):
+    """E.oe, its inverse and their composition: E is the prefix exchange on
+    the code {0^i 1 : i < L} + {0^L} of the full 2-shift that swaps 1 with
+    0^(L-1) 1, so back.oe is the identity read through two stages of
+    reach L."""
+    code = ["0" * i + "1" for i in range(L)] + ["0" * L]
+    image = dict(zip(code, code))
+    image["1"], image[code[L - 1]] = code[L - 1], "1"
+    head = "oe v1\ndomain full2.sft\ncodomain full2.sft\n"
+    (tree / "e.oe").write_text(head + "".join(
+        f"map {u} -> {v}\n" for u, v in image.items()))
+    (tree / "e_inv.oe").write_text(head + "".join(
+        f"map {v} -> {u}\n" for u, v in image.items()))
+    (tree / "back.oe").write_text("oe v1\ncompose e.oe e_inv.oe\n")
+    return tree / "back.oe"
+
+
+@pytest.mark.parametrize("verb", ["derive-cocycles", "verify-coe",
+                                  "pipeline", "verify-claims"])
+def test_cli_derives_as_deep_as_the_map_needs(tree, capsys, verb):
+    """The composed L = 12 identity needs cylinders of length 13; every
+    verb settles it (exit 0) instead of stopping at a depth cap."""
+    rc = main([verb, str(_write_there_and_back(tree, 12)), "--json"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    if verb == "derive-cocycles":
+        assert out["depth"] == 13
+        assert set(out["k"].values()) == {0}
+        assert set(out["l"].values()) == {1}
+    elif verb == "verify-coe":
+        assert out["verified"] and out["least_period_preserving"]
+    elif verb == "pipeline":
+        assert out["cocycle_depth"] == 13 and out["claims_failed"] == 0
+    else:
+        assert out["claims"] and all(r["pass"] for r in out["claims"])
 
 
 @pytest.mark.parametrize("files, argv, message", [
@@ -299,13 +344,26 @@ def test_cli_rejects_vacuous_or_crashing_arguments(tree, capsys, argv,
     ({"ctwice.oe": PE.replace("codomain full2.sft\n",
                               "codomain golden.sft\ncodomain full2.sft\n")},
      ["verify-coe", "ctwice.oe"], "ctwice.oe:4: codomain given twice"),
+    ({"nov.oe": PE.replace("map 0", "vmap 0 1\nmap 0", 1)},
+     ["verify-coe", "nov.oe"],
+     "nov.oe:4: invalid orbit equivalence: vertex map gives vertex 1 no "
+     "image"),
+    ({"twov.oe": PE.replace("map 0", "vmap 0 1\nvmap 1 1\nmap 0", 1)},
+     ["pipeline", "twov.oe"],
+     "twov.oe:4: invalid orbit equivalence: vertex map must biject"),
+    ({"code.oe": PE.replace("map 11 ", "map 1 ")},
+     ["derive-cocycles", "code.oe"],
+     "code.oe:4: invalid orbit equivalence: cylinders do not partition"),
 ], ids=["self-composition", "mutual-composition", "repeated-map",
         "repeated-vmap", "repeated-fn-word", "repeated-domain",
-        "repeated-codomain"])
+        "repeated-codomain", "vertex-without-image", "vmap-not-bijective",
+        "code-not-a-partition"])
 def test_cli_malformed_input_files_are_input_errors(tree, capsys, monkeypatch,
                                                     files, argv, message):
-    """A compose cycle or a word given twice is a parse error (exit 2)
-    naming the line, never a traceback or a silently kept last line."""
+    """A compose cycle, a word given twice, a bad vertex map or a bad code
+    is a parse error (exit 2) naming the line, never a traceback or a
+    silently kept last line.  Vertex-map faults name the first vmap line,
+    code faults the first map line."""
     monkeypatch.chdir(tree)
     for name, text in files.items():
         (tree / name).write_text(text)

@@ -240,12 +240,6 @@ def test_pipeline_consistency_tripwire(full2):
     assert bowen_franks(h.domain) == bowen_franks(h.codomain)
 
 
-def test_derive_depth_cap(std_oe):
-    from sftkit.errors import DepthExceeded
-    with pytest.raises(DepthExceeded):
-        derive_cocycle_pair(std_oe, max_depth=1)
-
-
 def test_verify_coe_reports_scoe(full2):
     rng = random.Random(3)
     h = random_split_conjugacy(rng, full2, moves=1)
@@ -545,7 +539,7 @@ def _k0_l1(P):
                        CylinderFunction(P, 1, dict.fromkeys(P.words(1), 1)))
 
 
-@pytest.mark.parametrize("L", [9, 10, 11])
+@pytest.mark.parametrize("L", [9, 10, 11, 12, 13])
 def test_a_pair_is_checked_as_deep_as_its_derivation(full2, L):
     # refinement once stopped 8 symbols past the pair's depth and reported
     # "undetermined within slack" although the pair holds
@@ -568,16 +562,80 @@ def test_a_pair_is_checked_as_deep_as_its_derivation(full2, L):
 
 def test_refinement_stops_at_the_derived_depth(full2, monkeypatch):
     import sftkit.orbit as orbit_mod
-    from sftkit.errors import DepthExceeded, VerificationFailed
+    from sftkit.errors import VerificationFailed
     pair = _k0_l1(full2)
-    # the derivation the bound comes from stalls: inconclusive
-    with pytest.raises(DepthExceeded):
-        verify_coe(_there_and_back(full2, 12), pair, pair)
+    # the derivation the bound comes from goes as deep as the map needs
+    rep = verify_coe(_there_and_back(full2, 12), pair, pair)
+    assert rep.verified and rep.failures == []
     # a check that needs more than the derivation did is an internal fault
     shallow = derive_cocycle_pair(OrbitEquivalence(identity_map(full2)))
     monkeypatch.setattr(orbit_mod, "derive_cocycle_pair", lambda h: shallow)
     with pytest.raises(VerificationFailed):
         verify_coe(_there_and_back(full2, 9), pair, pair)
+
+
+def _mixed_compositions(count, seed=11):
+    """Seeded compositions of 2-5 maps on random_presentation(rng, 5),
+    each a prefix exchange or a one-move split conjugacy (60 : 40)."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        h = None
+        P = random_presentation(rng, 5)
+        for _ in range(rng.randint(2, 5)):
+            Q = P if h is None else h.codomain
+            try:
+                g = (random_prefix_exchange(rng, Q) if rng.random() < 0.6
+                     else random_split_conjugacy(rng, Q, 1))
+            except InvalidCode:
+                continue  # no non-identity exchange in 100 draws
+            if g.domain != Q:
+                g = g.inverse()  # the split ended on its inverse
+            h = g if h is None else h.compose(g)
+        if h is not None:
+            yield h
+            made += 1
+
+
+def test_derived_depth_is_within_the_stages_bound(full2):
+    """Every derivation resolves by h.forward.prefix_needed(1): 1 plus the
+    stages' reaches.  Both directions of seeded exchanges, split
+    conjugacies, compositions (reducible presentations included) and the
+    composed identities E then E^-1; block stages meet the bound."""
+    maps = [*_general_maps(60, seed=8), *_mixed_compositions(60),
+            *(_there_and_back(full2, L) for L in range(2, 9))]
+    depths, tight, reducible = set(), 0, 0
+    for h in maps:
+        for g in (h, h.inverse()):
+            depth, bound = derive_cocycle_pair(g).depth, \
+                g.forward.prefix_needed(1)
+            assert depth <= bound, g.forward
+            depths.add(depth)
+            tight += depth == bound
+            P = g.domain
+            reducible += any(P.reachable(v) != set(P.labels)
+                             for v in P.labels)
+    assert tight >= 20 and reducible >= 20 and max(depths) >= 8
+
+
+def test_a_bound_below_the_need_is_a_broken_proof(full2, std_oe,
+                                                  monkeypatch):
+    """A cylinder that asks for more than the stages' bound means the
+    bound's proof is wrong: VerificationFailed, never a silent cut."""
+    from sftkit.errors import VerificationFailed
+    from sftkit.maps import PointMap
+    h = _there_and_back(full2, 5)
+    assert derive_cocycle_pair(h).depth == 6
+    monkeypatch.setattr(PointMap, "prefix_needed", lambda self, m: 5)
+    with pytest.raises(VerificationFailed, match="needs depth 6, past the "
+                                                 "bound 5"):
+        derive_cocycle_pair(h)
+    monkeypatch.setattr(PointMap, "prefix_needed", lambda self, m: 1)
+    with pytest.raises(VerificationFailed):
+        coe_to_flow_pipeline(std_oe)
+    # a bound the map meets exactly still derives
+    monkeypatch.setattr(PointMap, "prefix_needed", lambda self, m: 6)
+    assert derive_cocycle_pair(h).depth == 6
 
 
 def test_derived_pairs_are_not_checked_again(std_oe, tmp_path, monkeypatch,
