@@ -72,7 +72,7 @@ def parse_presentation(text: str, source="<sft>") -> Presentation:
         edges.add((u, v))
     try:
         return Presentation(range(n), edges)
-    except Exception as e:
+    except (SftError, ValueError) as e:
         raise ParseError(source, lines[-1][0] if lines else 1, str(e))
 
 
@@ -131,7 +131,7 @@ def parse_cylinder_function(text: str, P: Presentation,
             raise ParseError(source, ln, f"bad integer {parts[1]!r}")
     try:
         return CylinderFunction(P, depth, table)
-    except Exception as e:
+    except (SftError, ValueError) as e:
         raise ParseError(source, lines[0][0], str(e))
 
 
@@ -216,7 +216,7 @@ def read_orbit_equivalence(path: str) -> OrbitEquivalence:
 
     Paths are resolved relative to the file.  A file that composes itself,
     directly or through others, is a ParseError, and so is a bad vertex map
-    (at its first vmap line) or a bad code (at its first map line).
+    (first vmap line, else codomain line) or a bad code (first map line).
     """
     return _read_orbit_equivalence(path, ())
 
@@ -252,7 +252,7 @@ def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
             key, name = line.split(None, 1)
             if key in sides:
                 raise ParseError(path, ln, f"{key} given twice")
-            sides[key] = read_presentation(os.path.join(base, name))
+            sides[key] = ln, read_presentation(os.path.join(base, name))
         elif line.startswith("map "):
             rest = line[4:]
             if "->" not in rest:
@@ -266,9 +266,9 @@ def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
             vmap_rows.append((ln, parts[1], parts[2]))
         else:
             raise ParseError(path, ln, f"unknown directive {line!r}")
-    domain, codomain = sides.get("domain"), sides.get("codomain")
-    if domain is None or codomain is None:
+    if len(sides) != 2:
         raise ParseError(path, 1, "need domain and codomain")
+    (_, domain), (codomain_ln, codomain) = sides["domain"], sides["codomain"]
     pairing = {}
     for ln, u, v in pairs:
         w = parse_word(domain, u, path, ln)
@@ -291,9 +291,13 @@ def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
     try:
         return OrbitEquivalence(
             prefix_exchange(domain, pairing, codomain, vertex_map))
+    except InvalidVertexMap as e:
+        implicit = "" if vmap_rows else (
+            "; with no vmap lines, the vertices were matched index by index")
+        raise ParseError(path, vmap_rows[0][0] if vmap_rows else codomain_ln,
+                         f"invalid orbit equivalence: {e}{implicit}")
     except SftError as e:
-        rows = vmap_rows if isinstance(e, InvalidVertexMap) else pairs
-        raise ParseError(path, rows[0][0] if rows else 1,
+        raise ParseError(path, pairs[0][0] if pairs else 1,
                          f"invalid orbit equivalence: {e}")
 
 

@@ -20,13 +20,15 @@ the codomain.  This is what the `vmap` lines of an `.oe` file mean.
 Each stage keeps, as `inverse`, the inverse stage its constructor proved;
 a PointMap reads its inverse off its stages and nothing re-checks it.
 
-Besides acting on points, maps act /symbolically/ on cylinders: for every
-point x in Z(w) the image h(x) has the shape  W . T(sigma^m(x))  where W is
-an explicit word and T is a chain of block maps (block maps commute with
-the shift, which is what keeps this calculus closed).  Over Z(w) the chain
-is held as the one word T(w), computed stage by stage, so a symbol of the
-image is read off W or T(w), or is known to need a longer cylinder.  The
-symbolic form is what makes cocycle derivation and verification exact.
+Maps act /symbolically/ on cylinders, and a map's action on points is read
+off its symbolic image: for every point x in Z(w) the image h(x) has the
+shape  W . T(sigma^m(x))  where W is an explicit word and T is a chain of
+block maps (block maps commute with the shift, which is what keeps this
+calculus closed).  Over Z(w) the chain is held as the one word T(w),
+computed stage by stage, so a symbol of the image is read off W or T(w),
+or is known to need a longer cylinder.  The symbolic form is what makes
+cocycle derivation and verification exact, and each stage's action is
+defined once, by its step in image_form.
 """
 
 from __future__ import annotations
@@ -72,13 +74,6 @@ class BlockStage:
         return tuple(self.table[w[i:i + self.window]]
                      for i in range(len(w) - self.window + 1))
 
-    def apply_point(self, p: EvPerPoint) -> EvPerPoint:
-        """The image point; the local consistency check in the constructor
-        proved it admissible, so it is only normalised."""
-        np_ = len(p.prefix)
-        img = self.apply_word(p.symbols(np_ + len(p.cycle) + self.anticipation))
-        return EvPerPoint._canonical(self.codomain, img[:np_], img[np_:])
-
     def __repr__(self):
         return f"BlockStage(window={self.window})"
 
@@ -92,10 +87,8 @@ def relabel_stage(domain: Presentation, codomain: Presentation, mapping) -> Bloc
     if set(mapping) != set(domain.labels) or \
             set(mapping.values()) != set(codomain.labels):
         raise InvalidVertexMap("vertex map must biject the vertex sets")
-    for a, b in domain.edges:
-        if not codomain.has_edge(mapping[a], mapping[b]):
-            raise InvalidVertexMap("vertex map is not a graph isomorphism")
-    if len(domain.edges) != len(codomain.edges):
+    if len(domain.edges) != len(codomain.edges) or not all(
+            codomain.has_edge(mapping[a], mapping[b]) for a, b in domain.edges):
         raise InvalidVertexMap("vertex map is not a graph isomorphism")
     return BlockStage(domain, codomain, {(a,): mapping[a] for a in domain.labels})
 
@@ -134,14 +127,6 @@ class PrefixExchangeStage:
             if w in self.pairing:
                 return w
         raise InvalidCode("no code word matches; code is not complete")
-
-    def apply_point(self, p: EvPerPoint) -> EvPerPoint:
-        """The image point; the code and follower checks in the constructor
-        proved it admissible, so it is only normalised."""
-        u = self.lookup(p.symbol)
-        t = p.shift(len(u))
-        return EvPerPoint._canonical(self.codomain, self.pairing[u] + t.prefix,
-                                     t.cycle)
 
     def __repr__(self):
         pairs = ",".join(f"{''.join(map(str, u))}~{''.join(map(str, v))}"
@@ -182,13 +167,24 @@ class PointMap:
             raise InvalidCode("a stage has no inverse proven by its constructor")
 
     def apply(self, p: EvPerPoint) -> EvPerPoint:
+        """h(p) for p = prefix . cycle^inf, n = |prefix| and c = n + |cycle|.
+        By part (i) of derive_cocycle_pair's proof the symbolic image S over
+        p's first c + prefix_needed(0) symbols is determined: h(p) is S.prefix
+        then T(p)[S.shift:].  The block chain T has no memory, so T(p) is
+        periodic from n with period |cycle|, and S.tail[:c] holds its first c
+        symbols (prefix_needed(0) covers T's lookahead).  A tail that is not a
+        block-map image needs sync points in place of n and c."""
         if p.presentation is not self.domain and p.presentation != self.domain:
             raise InadmissibleWord(
                 f"{p} lives on {p.presentation!r}, "
                 f"not on the map's domain {self.domain!r}")
-        for st in self.stages:
-            p = st.apply_point(p)
-        return p
+        n, c = len(p.prefix), len(p.prefix) + len(p.cycle)
+        S = image_form(self.stages, p.symbols(c + self.prefix_needed(0)))
+        if len(S.tail) < c:
+            raise NeedDepth(c + S.lookahead)
+        pre, cyc = S.prefix + S.tail[min(S.shift, n):n], S.tail[n:c]
+        r = max(S.shift - n, 0) % (c - n)
+        return EvPerPoint._canonical(self.codomain, pre, cyc[r:] + cyc[:r])
 
     def __call__(self, p):
         return self.apply(p)
@@ -315,8 +311,7 @@ def image_form(stages, base: Word) -> SymImage:
         S = SymImage(W, tail, m, ahead)
         if isinstance(st, BlockStage):
             a = st.anticipation
-            ext = W + tuple(S.symbol(len(W) + t) for t in range(a))
-            W = tuple(st.table[ext[i:i + st.window]] for i in range(len(W)))
+            W = st.apply_word(W + tuple(S.symbol(len(W) + t) for t in range(a)))
             tail = st.apply_word(tail)
             ahead += a
         else:

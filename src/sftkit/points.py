@@ -11,9 +11,9 @@ equality:
 
 Admissibility is proven once, where words enter from outside: make checks
 the words it is given.  A point derived from a canonical point (a shift, a
-tail, the image under a map stage) is built canonical directly and is not
-scanned again: the words it reads are already proven, and a stage's
-constructor proved that it maps admissible points to admissible points.
+tail, or its image under a map, read off the map's symbolic image) is built
+canonical directly and is not scanned again: the words it reads are proven,
+and each stage's constructor proved that it keeps points admissible.
 BiPoint.joined builds a two-sided point from a cycle word read off an
 admissible point and an admissible one-sided tail: only the cycle's closing
 edge and its join to the tail are new, so it checks those two edges and

@@ -354,16 +354,31 @@ def test_cli_derives_as_deep_as_the_map_needs(tree, capsys, verb):
     ({"code.oe": PE.replace("map 11 ", "map 1 ")},
      ["derive-cocycles", "code.oe"],
      "code.oe:4: invalid orbit equivalence: cylinders do not partition"),
+    ({"mixed.oe": "oe v1\ndomain golden.sft\ncodomain full2.sft\n"
+                  "map 0 -> 0\nmap 1 -> 1\n"},
+     ["verify-coe", "mixed.oe"],
+     "mixed.oe:3: invalid orbit equivalence: vertex map is not a graph "
+     "isomorphism; with no vmap lines, the vertices were matched index by "
+     "index"),
+    ({"full3.sft": "sft v1\nvertices 3\n" + "".join(
+        f"edge {a} {b}\n" for a in range(3) for b in range(3)),
+      "uneven.oe": "oe v1\ndomain full3.sft\n# two vertices\n"
+                   "codomain full2.sft\nmap 0 -> 0\nmap 1 -> 1\n"},
+     ["pipeline", "uneven.oe"],
+     "uneven.oe:4: invalid orbit equivalence: vertex map gives vertex 2 no "
+     "image; with no vmap lines, the vertices were matched index by index"),
 ], ids=["self-composition", "mutual-composition", "repeated-map",
         "repeated-vmap", "repeated-fn-word", "repeated-domain",
         "repeated-codomain", "vertex-without-image", "vmap-not-bijective",
-        "code-not-a-partition"])
+        "code-not-a-partition", "index-matching-not-an-isomorphism",
+        "index-matching-uneven-vertex-counts"])
 def test_cli_malformed_input_files_are_input_errors(tree, capsys, monkeypatch,
                                                     files, argv, message):
     """A compose cycle, a word given twice, a bad vertex map or a bad code
     is a parse error (exit 2) naming the line, never a traceback or a
     silently kept last line.  Vertex-map faults name the first vmap line,
-    code faults the first map line."""
+    or the codomain line when there is none and the vertices were matched
+    index by index; code faults name the first map line."""
     monkeypatch.chdir(tree)
     for name, text in files.items():
         (tree / name).write_text(text)
@@ -372,6 +387,23 @@ def test_cli_malformed_input_files_are_input_errors(tree, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("parse, name, text", [
+    (sio.parse_presentation, "Presentation", FULL2),
+    (lambda text: sio.parse_cylinder_function(text, full_shift(2)),
+     "CylinderFunction", "fn depth=1\n0 1\n1 2\n"),
+], ids=["presentation", "cylinder-function"])
+def test_a_programming_error_in_a_parse_is_not_a_parse_error(monkeypatch,
+                                                             parse, name,
+                                                             text):
+    """Only the faults the constructors report for bad input (SftError,
+    ValueError) become a ParseError; anything else stays itself."""
+    def broken(*args):
+        raise RuntimeError("broken constructor")
+    monkeypatch.setattr(sio, name, broken)
+    with pytest.raises(RuntimeError, match="broken constructor"):
+        parse(text)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,6 +1,6 @@
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,6 +29,7 @@ from sftkit.samples import (
     random_presentation,
     random_split_conjugacy,
 )
+from tests.test_orbit import _there_and_back
 from tests.test_points import tail_words
 
 
@@ -476,7 +477,7 @@ def _raw_image(stage, p):
 def _check_stages(stages, data):
     for stage in stages:
         p = EvPerPoint.make(stage.domain, *data.draw(tail_words(stage.domain)))
-        got = stage.apply_point(p)
+        got = PointMap(stage.domain, stage.codomain, (stage,)).apply(p)
         assert got == EvPerPoint.make(stage.codomain, *_raw_image(stage, p))
 
 
@@ -502,3 +503,47 @@ def test_block_stage_output_equals_make_of_its_raw_words(seed, data):
     assume(h.stages)
     assert all(isinstance(s, BlockStage) for s in h.stages)
     _check_stages(h.stages + h.inverse().stages, data)
+
+
+# -- a map's point image is read off its symbolic image ------------------
+
+@cache
+def _composed_maps():
+    """The oracle maps (composed, relabelled and inverted) and both
+    directions of the there-and-back identities for L = 2..13."""
+    backs = [_there_and_back(full_shift(2), L) for L in range(2, 14)]
+    return _oracle_maps() + [pm for h in backs
+                             for pm in (h.forward, h.backward)]
+
+
+def _image_stage_by_stage(pm, p):
+    for stage in pm.stages:
+        p = EvPerPoint.make(stage.codomain, *_raw_image(stage, p))
+    return p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_map_image_equals_its_stages_raw_words_made_in_turn(data):
+    for pm in _composed_maps():
+        p = EvPerPoint.make(pm.domain, *data.draw(tail_words(pm.domain)))
+        assert pm.apply(p) == _image_stage_by_stage(pm, p)
+
+
+def test_map_image_needs_the_whole_base_its_proof_counts(monkeypatch):
+    """One symbol fewer than c + prefix_needed(0) leaves a block chain's
+    tail one symbol short of c: apply raises NeedDepth there, and gives
+    the true image wherever it still answers."""
+    cases = [(pm, EvPerPoint.make(pm.domain, (), c))
+             for pm in _composed_maps() for c in pm.domain.cycles(3)]
+    want = [pm.apply(p) for pm, p in cases]
+    needed = PointMap.prefix_needed
+    monkeypatch.setattr(PointMap, "prefix_needed",
+                        lambda self, m: needed(self, m) - 1)
+    outcomes = set()
+    for (pm, p), image in zip(cases, want):
+        try:
+            outcomes.add(pm.apply(p) == image)
+        except NeedDepth:
+            outcomes.add("NeedDepth")
+    assert outcomes == {True, "NeedDepth"}
