@@ -4,11 +4,18 @@ A class [f] is positive exactly when every periodic orbit sum of f is
 non-negative.  On the weighted transition graph of f this is negative-cycle
 feasibility, so a shortest-path potential kappa yields the witness pair
 (n, b) with  f = n + b - b o sigma,  n >= 0,  b = -kappa on blocks.
+
+A graph is kept as index lists: arc k runs from nodes[src[k]] to
+nodes[dst[k]] with weight[k] and tags[k].  Bellman-Ford, the certificate,
+the cycle check and the coboundary system all read those lists; Arc named
+tuples are built only on request (W.arcs, W.arc(k)) and for the arcs of a
+negative-cycle witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .cylinders import CylinderFunction
@@ -18,8 +25,8 @@ from .presentation import Presentation
 
 class Arc(NamedTuple):
     """A weighted arc.  A named tuple: it compares equal to the plain tuple
-    of its fields, and building one per block of a transition graph is
-    cheap."""
+    of its fields.  A graph builds one only on request, since it keeps its
+    arcs as index lists."""
     source: object
     target: object
     weight: int
@@ -27,38 +34,62 @@ class Arc(NamedTuple):
 
 
 class WeightedTransitionGraph:
-    """Finite weighted digraph; nodes and arcs may carry arbitrary tags."""
+    """Finite weighted digraph; nodes and arcs may carry arbitrary tags.
+
+    The nodes are distinct.  Arc k runs from nodes[src[k]] to nodes[dst[k]]
+    with weight[k] and tags[k] (None for an arc given without a tag)."""
 
     def __init__(self, nodes, arcs):
-        self.nodes = list(nodes)
-        self.arcs = [a if isinstance(a, Arc) else Arc(*a) for a in arcs]
-        node_set = set(self.nodes)
-        for a in self.arcs:
-            if a.source not in node_set or a.target not in node_set:
+        nodes = list(nodes)
+        index = {v: i for i, v in enumerate(nodes)}
+        if len(index) != len(nodes):
+            raise ValueError("duplicate node")
+        src, dst, weight, tags = [], [], [], []
+        for a in arcs:
+            a = a if isinstance(a, Arc) else Arc(*a)
+            if a.source not in index or a.target not in index:
                 raise ValueError(f"arc {a} uses unknown node")
+            src.append(index[a.source])
+            dst.append(index[a.target])
+            weight.append(a.weight)
+            tags.append(a.tag)
+        self.nodes, self.src, self.dst = nodes, src, dst
+        self.weight, self.tags = weight, tags
 
     @classmethod
-    def _proven(cls, nodes, arcs) -> "WeightedTransitionGraph":
-        """A graph whose arcs are Arcs between the given nodes by
-        construction: transition_graph's arcs run from w[:m] to w[1:] of an
-        admissible (m+1)-word w, and both are admissible m-words."""
+    def _proven(cls, nodes, src, dst, weight, tags) -> "WeightedTransitionGraph":
+        """A graph whose index lists are right by construction:
+        transition_graph's arcs run from the node w[:m] to the node w[1:] of
+        an admissible (m+1)-word w, and both are admissible m-words."""
         W = object.__new__(cls)
-        W.nodes, W.arcs = nodes, arcs
+        W.nodes, W.src, W.dst, W.weight, W.tags = nodes, src, dst, weight, tags
         return W
 
+    def arc(self, k: int) -> Arc:
+        return Arc(self.nodes[self.src[k]], self.nodes[self.dst[k]],
+                   self.weight[k], self.tags[k])
+
+    @cached_property
+    def arcs(self) -> list:
+        return [self.arc(k) for k in range(len(self.src))]
+
     def __repr__(self):
-        return f"WeightedTransitionGraph({len(self.nodes)} nodes, {len(self.arcs)} arcs)"
+        return f"WeightedTransitionGraph({len(self.nodes)} nodes, {len(self.src)} arcs)"
 
 
 @dataclass(frozen=True)
 class Potential:
     kappa: dict
 
-    def slack(self, arc: Arc) -> int:
-        return arc.weight + self.kappa[arc.source] - self.kappa[arc.target]
+    def slacks(self, W: WeightedTransitionGraph) -> list:
+        """The slack  weight + kappa(source) - kappa(target)  of every arc
+        of W, in arc order."""
+        kappa = [self.kappa[v] for v in W.nodes]
+        return [wt + kappa[s] - kappa[t]
+                for s, t, wt in zip(W.src, W.dst, W.weight)]
 
     def is_valid_for(self, W: WeightedTransitionGraph) -> bool:
-        return all(self.slack(a) >= 0 for a in W.arcs)
+        return all(r >= 0 for r in self.slacks(W))
 
 
 @dataclass(frozen=True)
@@ -105,13 +136,24 @@ class PositivityCertificate:
 
 def transition_graph(P: Presentation, f: CylinderFunction) -> WeightedTransitionGraph:
     """Nodes are the m-blocks, arcs the (m+1)-blocks weighted by f, where
-    m = max(depth(f) - 1, 1)."""
+    m = max(depth(f) - 1, 1).
+
+    The arcs are the one-symbol extensions w = u + (b,) of each node u, in
+    node order and b in out-neighbour order: the order of P.words(m + 1).
+    Arc w runs from u to u[1:] + (b,), and its weight is f on w's first
+    width(f) <= m + 1 symbols."""
     if f.presentation != P:
         raise ValueError("operands live on different presentations")
     m = max(f.depth - 1, 1)
-    weight = f.refine(m + 1).table
-    arcs = [Arc(w[:m], w[1:], weight[w], w) for w in P.words(m + 1)]
-    return WeightedTransitionGraph._proven(P.words(m), arcs)
+    nodes = P.words(m)
+    index = {v: i for i, v in enumerate(nodes)}
+    table, width = f.table, f.width()
+    out = [P.out_neighbors(u[-1]) for u in nodes]
+    tags = [u + (b,) for u, bs in zip(nodes, out) for b in bs]
+    src = [i for i, bs in enumerate(out) for _ in bs]
+    dst = [index[w[1:]] for w in tags]
+    weight = [table[w[:width]] for w in tags]
+    return WeightedTransitionGraph._proven(nodes, src, dst, weight, tags)
 
 
 def find_potential(W: WeightedTransitionGraph):
@@ -142,21 +184,23 @@ def find_potential(W: WeightedTransitionGraph):
     into v.  Walks of |nodes| arcs would then gain nothing over shorter
     ones, which holds only when no cycle is negative.
     """
-    dist = {v: 0 for v in W.nodes}
-    pred = {v: None for v in W.nodes}
-    for _ in range(len(W.nodes) + 1):
+    n = len(W.nodes)
+    arcs = list(zip(range(len(W.src)), W.src, W.dst, W.weight))
+    dist = [0] * n
+    pred = [-1] * n  # the index of the arc that set dist[v], or -1
+    for _ in range(n + 1):
         changed = False
-        for a in W.arcs:
-            s, t, wt, _ = a
+        for k, s, t, wt in arcs:
             d = dist[s] + wt
             if d < dist[t]:
                 dist[t] = d
-                pred[t] = a
+                pred[t] = k
                 changed = True
         if not changed:
-            return Potential(dict(dist))
-        cycle = _predecessor_cycle(pred)
+            return Potential(dict(zip(W.nodes, dist)))
+        cycle = _predecessor_cycle(pred, W.src)
         if cycle is not None:
+            cycle = tuple(W.arc(k) for k in cycle)
             witness = NegativeCycleWitness(cycle, sum(a.weight for a in cycle))
             if not witness.verify():
                 raise VerificationFailed(
@@ -166,29 +210,30 @@ def find_potential(W: WeightedTransitionGraph):
                              "negative cycle")
 
 
-def _predecessor_cycle(pred):
-    """The arcs of a cycle of the predecessor graph, in walk order, or None."""
-    root_of = {}
-    for root in pred:
+def _predecessor_cycle(pred, src):
+    """The arc indices of a cycle of the predecessor graph, in walk order,
+    or None."""
+    root_of = [-1] * len(pred)
+    for root in range(len(pred)):
         v = root
-        while v not in root_of:
+        while root_of[v] < 0:
             root_of[v] = root
-            arc = pred[v]
-            if arc is None:
+            k = pred[v]
+            if k < 0:
                 break
-            v = arc.source
+            v = src[k]
         else:
             if root_of[v] == root:
                 cycle = []
                 u = v
                 while True:
-                    arc = pred[u]
-                    cycle.append(arc)
-                    u = arc.source
+                    k = pred[u]
+                    cycle.append(k)
+                    u = src[k]
                     if u == v:
                         break
                 cycle.reverse()
-                return tuple(cycle)
+                return cycle
     return None
 
 
@@ -197,18 +242,22 @@ def class_is_positive(P: Presentation, f: CylinderFunction):
     NegativeCycleWitness showing it is not.
 
     The sign convention b = -kappa on m-blocks makes the certificate's
-    identity read  f = n + b - b o sigma  with n >= 0 exactly.
+    identity read  f = n + b - b o sigma  with n >= 0 exactly: on the arc
+    w from u to v, n(w) = f(w) + kappa(u) - kappa(v) is the arc's slack.
+    The nodes are P.words(m) and the arcs follow P.words(m + 1), so b and
+    n are read off the lists in that order.
     """
     W = transition_graph(P, f)
     m = max(f.depth - 1, 1)
     res = find_potential(W)
     if isinstance(res, NegativeCycleWitness):
         return res
-    b = CylinderFunction(P, m, {w: -res.kappa[w] for w in W.nodes})
-    n = f.refine(m + 1) - b + b.pullback()
-    if not n.is_nonnegative():
+    n = res.slacks(W)
+    if min(n) < 0:
         raise VerificationFailed("potential failed to produce n >= 0")
-    return PositivityCertificate(b, n)
+    return PositivityCertificate(
+        CylinderFunction.on_words(P, m, [-res.kappa[v] for v in W.nodes]),
+        CylinderFunction.on_words(P, m + 1, n))
 
 
 def positive_on_cycles(P: Presentation, f: CylinderFunction) -> bool:
@@ -225,14 +274,15 @@ def positive_on_cycles(P: Presentation, f: CylinderFunction) -> bool:
     res = find_potential(W)
     if isinstance(res, NegativeCycleWitness):
         return False
-    succ = {v: [] for v in W.nodes}
-    indeg = dict.fromkeys(W.nodes, 0)
-    for a in W.arcs:
-        if res.slack(a) == 0:
-            succ[a.source].append(a.target)
-            indeg[a.target] += 1
+    n = len(W.nodes)
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for s, t, r in zip(W.src, W.dst, res.slacks(W)):
+        if r == 0:
+            succ[s].append(t)
+            indeg[t] += 1
     # Kahn's algorithm: every node is removed iff the subgraph is acyclic
-    ready = [v for v in W.nodes if indeg[v] == 0]
+    ready = [v for v in range(n) if indeg[v] == 0]
     removed = 0
     while ready:
         v = ready.pop()
@@ -241,7 +291,7 @@ def positive_on_cycles(P: Presentation, f: CylinderFunction) -> bool:
             indeg[u] -= 1
             if indeg[u] == 0:
                 ready.append(u)
-    return removed == len(W.nodes)
+    return removed == n
 
 
 def decompose_positive(P: Presentation, f: CylinderFunction, lower=0):
@@ -300,19 +350,18 @@ def solve_coboundary(P: Presentation, f: CylinderFunction, max_depth: int):
     D = max(f.depth - 1, 0)
     if D > max_depth:
         return None
-    width = max(D, 1)
-    nodes = P.words(width)
-    # keyed by the arcs, the (width + 1)-words w from w[:width] to w[1:]
-    arcs = f.refine(width + 1).table
-    neighbors = {v: [] for v in nodes}
-    for w, val in arcs.items():
-        src, dst = w[:width], w[1:]
-        neighbors[src].append((dst, -val))   # g(dst) = g(src) - f(w)
-        neighbors[dst].append((src, val))    # g(src) = g(dst) + f(w)
+    # the width graph is f's transition graph: its arcs are the
+    # (width + 1)-words w from w[:width] to w[1:], weighted by f(w)
+    W = transition_graph(P, f)
+    n = len(W.nodes)
+    neighbors = [[] for _ in range(n)]
+    for s, t, val in zip(W.src, W.dst, W.weight):
+        neighbors[s].append((t, -val))   # g(dst) = g(src) - f(w)
+        neighbors[t].append((s, val))    # g(src) = g(dst) + f(w)
 
-    g = {}
-    for root in nodes:
-        if root in g:
+    g = [None] * n
+    for root in range(n):
+        if g[root] is not None:
             continue
         g[root] = 0
         stack = [root]
@@ -320,16 +369,15 @@ def solve_coboundary(P: Presentation, f: CylinderFunction, max_depth: int):
             v = stack.pop()
             for u, delta in neighbors[v]:
                 val = g[v] + delta
-                if u in g:
+                if g[u] is not None:
                     if g[u] != val:
                         return None
                 else:
                     g[u] = val
                     stack.append(u)
-    for w, val in arcs.items():
-        if g[w[:width]] - g[w[1:]] != val:
+    for s, t, val in zip(W.src, W.dst, W.weight):
+        if g[s] - g[t] != val:
             return None
-    table = {v: g[v] for v in nodes}
-    if D == 0 and len(set(table.values())) > 1:
+    if D == 0 and len(set(g)) > 1:
         D = 1
-    return CylinderFunction(P, D, table) if D <= max_depth else None
+    return CylinderFunction.on_words(P, D, g) if D <= max_depth else None

@@ -7,7 +7,8 @@ both operands to the larger depth.
 
 The word set is proven once, at the public constructor.  Arithmetic results
 (refine, pullback, +, -, negation, constant) take their keys from P.words or
-from a validated operand's table, so they are right by construction.
+from a validated operand's table, so they are right by construction.  So is
+on_words, which pairs a list of values with the words of P.words.
 """
 
 from __future__ import annotations
@@ -48,6 +49,22 @@ class CylinderFunction:
     @staticmethod
     def constant(P: Presentation, value: int) -> "CylinderFunction":
         return CylinderFunction._of(P, 0, dict.fromkeys(P.words(1), int(value)))
+
+    @staticmethod
+    def on_words(P: Presentation, depth: int, values) -> "CylinderFunction":
+        """The function whose value on the i-th word of
+        P.words(max(depth, 1)) is values[i].  The keys come from P.words, so
+        only the count of values and, at depth 0, constancy are checked."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        words = P.words(max(depth, 1))
+        values = [int(v) for v in values]
+        if len(values) != len(words):
+            raise ValueError(f"need {len(words)} values, one per admissible "
+                             f"{max(depth, 1)}-word, got {len(values)}")
+        if depth == 0 and len(set(values)) > 1:
+            raise ValueError("depth-0 function must be constant")
+        return CylinderFunction._of(P, depth, dict(zip(words, values)))
 
     @staticmethod
     def from_values(P: Presentation, table) -> "CylinderFunction":

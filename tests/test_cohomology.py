@@ -91,7 +91,8 @@ def test_public_graph_accepts_plain_tuples_as_arcs():
 def test_transition_graph_is_what_the_public_constructor_accepts(seed, d):
     """The arcs transition_graph builds without the endpoint scan are the
     (m+1)-blocks w from w[:m] to w[1:] weighted by f(w), pass that scan,
-    and end in nodes of the graph."""
+    end in nodes of the graph, and give the public constructor's index
+    lists."""
     rng = random.Random(seed)
     P = random_presentation(rng)
     f = CylinderFunction(P, d, {w: rng.randint(-2, 2) for w in P.words(d)})
@@ -102,6 +103,8 @@ def test_transition_graph_is_what_the_public_constructor_accepts(seed, d):
                       for w in P.words(m + 1)]
     public = WeightedTransitionGraph(W.nodes, [tuple(a) for a in W.arcs])
     assert public.arcs == W.arcs
+    assert (public.src, public.dst, public.weight, public.tags) == \
+        (W.src, W.dst, W.weight, W.tags)
     nodes = set(W.nodes)
     assert all(a.source in nodes and a.target in nodes for a in W.arcs)
 
@@ -538,3 +541,105 @@ def test_positivity_results_are_pinned():
     digest = hashlib.sha256(json.dumps(body).encode()).hexdigest()
     assert digest == \
         "48b5fe9a9d14088bac43f70e9bb4caae26b439e6c24e08c753588c7dd11a216d"
+
+
+def _pool_function(rng, P, depth, lo, hi):
+    if depth == 0:
+        return CylinderFunction.constant(P, rng.randint(lo, hi))
+    return CylinderFunction(P, depth, {w: rng.randint(lo, hi)
+                                       for w in P.words(depth)})
+
+
+def _graph_pool(count):
+    """count seeded classes drawn as perfbench's positivity pool draws
+    them: a random_presentation(rng, 6, 4) and a depth 2-5 redrawn until
+    the graph has 150-600 arcs; positive classes n + b - b o sigma with
+    n >= 0, random classes and coboundaries, in turn.  Each comes with a
+    g of depth d - 1 whose coboundary solve_coboundary must solve."""
+    rng = random.Random(2028)
+    for i in range(count):
+        while True:
+            P = random_presentation(rng, 6, 4)
+            d = rng.randint(2, 5)
+            if 150 <= len(P.words(d)) <= 600:
+                break
+        kind = ("positive", "random", "coboundary")[i % 3]
+        g = _pool_function(rng, P, d - 1, -2, 2)
+        if kind == "positive":
+            b = _pool_function(rng, P, rng.randint(0, d - 1), -2, 2)
+            f = _pool_function(rng, P, d, 0, 2) + b.coboundary()
+        elif kind == "random":
+            f = _pool_function(rng, P, d, -2, 2)
+        else:
+            f = g.coboundary()
+        yield kind, P, f, g
+
+
+def test_verdicts_on_the_benchmark_shaped_pool_are_pinned():
+    """On 300 classes shaped like the benchmark's: a certificate's n is
+    f - b + b o sigma at depth m + 1 and verifies, a witness verifies, and
+    solve_coboundary solves every g - g o sigma.  Every verdict, witness
+    and solution hashes to a committed digest."""
+    body, seen = [], set()
+    for kind, P, f, g in _graph_pool(300):
+        m = max(f.depth - 1, 1)
+        res = class_is_positive(P, f)
+        if isinstance(res, PositivityCertificate):
+            b, n = res.witness_b, res.nonneg
+            assert (b.depth, n.depth) == (m, m + 1)
+            assert n.table == (f.refine(m + 1) - b + b.pullback()).table
+            assert res.verify(f)
+            item = [kind, "positive", _table_body(b), _table_body(n)]
+        else:
+            assert kind == "random" and res.verify()
+            item = [kind, "negative", res.total,
+                    [[repr(a.source), repr(a.target), a.weight, repr(a.tag)]
+                     for a in res.cycle]]
+        seen.add(item[1])
+        dg = g.coboundary()
+        solution = solve_coboundary(P, dg, 5)
+        assert solution is not None and solution.coboundary() == dg
+        body.append(item + [_table_body(solution)])
+    assert seen == {"negative", "positive"}
+    digest = hashlib.sha256(json.dumps(body).encode()).hexdigest()
+    assert digest == \
+        "483fb8cc0f3ccce4b687dec78748b6073076313530cd5be625a2b9a8977a9072"
+
+
+def test_public_graph_rejects_duplicate_nodes():
+    with pytest.raises(ValueError, match="duplicate node"):
+        WeightedTransitionGraph(["u", "u"], [])
+    with pytest.raises(ValueError, match="duplicate node"):
+        WeightedTransitionGraph([(0,), (1,), (0,)], [((0,), (1,), 1)])
+
+
+def test_solve_coboundary_checks_the_presentation_before_the_depth_cap(
+        full2, gm):
+    f = CylinderFunction(full2, 4, {w: 0 for w in full2.words(4)})
+    assert solve_coboundary(full2, f, 1) is None   # the cap alone
+    with pytest.raises(ValueError, match="different presentations"):
+        solve_coboundary(gm, f, 1)
+
+
+def test_arcs_are_built_only_for_a_witness(full2, monkeypatch):
+    """Certificates, cycle checks and coboundary solutions read the index
+    lists; only a negative-cycle witness builds Arcs, one per cycle arc."""
+    built = []
+
+    class CountedArc(Arc):
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(cohomology, "Arc", CountedArc)
+    f = CylinderFunction.from_values(
+        full2, {"00": 1, "01": -1, "10": 2, "11": 0})
+    assert isinstance(class_is_positive(full2, f), PositivityCertificate)
+    assert positive_on_cycles(full2, f) is False
+    assert solve_coboundary(full2, f.coboundary(), 4) is not None
+    assert decompose_positive(full2, f)[0].is_nonnegative()
+    assert built == []
+    w = class_is_positive(full2, CylinderFunction.from_values(
+        full2, {"00": 2, "01": -2, "10": 1, "11": 3}))
+    assert isinstance(w, NegativeCycleWitness) and w.verify()
+    assert len(built) == len(w.cycle) == 2

@@ -190,3 +190,30 @@ def test_public_constructor_still_checks_the_word_set(gm):
         CylinderFunction(gm, 2, {w: 0 for w in words | {(1, 1)}})
     with pytest.raises(ValueError, match="constant"):
         CylinderFunction(gm, 0, {(0,): 0, (1,): 1})
+
+
+def test_on_words_equals_the_public_constructor():
+    rng = random.Random(41)
+    for _ in range(60):
+        P = random_presentation(rng, 5)
+        d = rng.randint(0, 4)
+        words = P.words(max(d, 1))
+        values = ([rng.randint(-3, 3)] * len(words) if d == 0
+                  else [rng.randint(-3, 3) for _ in words])
+        f = CylinderFunction.on_words(P, d, values)
+        g = CylinderFunction(P, d, dict(zip(words, values)))
+        assert f.depth == d
+        assert list(f.table.items()) == list(g.table.items())
+
+
+def test_on_words_checks_the_count_and_depth_zero(full2, gm):
+    with pytest.raises(ValueError, match="need 3 values"):
+        CylinderFunction.on_words(gm, 2, [1, 2])
+    with pytest.raises(ValueError, match="need 4 values"):
+        CylinderFunction.on_words(full2, 2, [0] * 5)
+    with pytest.raises(ValueError, match="must be constant"):
+        CylinderFunction.on_words(full2, 0, [1, 2])
+    with pytest.raises(ValueError, match=">= 0"):
+        CylinderFunction.on_words(full2, -1, [])
+    assert CylinderFunction.on_words(full2, 0, [5, 5]) == \
+        CylinderFunction.constant(full2, 5)
