@@ -4,7 +4,8 @@ Exit codes: 0 success / verified, 1 verified false (counterexamples in the
 output), 2 input error, 3 inconclusive round trip (pipeline and
 verify-claims).  Cocycles are derived as deep as the map's stages prove,
 with no depth option.  All output is deterministic for fixed inputs and
-flags; --json emits sorted JSON.
+flags; --json emits sorted JSON, indented by two spaces, written by one
+exact pass (_json_text) whose bytes are json.dumps's.
 """
 
 from __future__ import annotations
@@ -43,9 +44,107 @@ class _BadArgument(SftError):
     """A command-line value the command cannot use."""
 
 
+def _json_text(payload) -> str:
+    """Exactly the text json.dumps(payload, sort_keys=True, indent=2,
+    default=str) returns, appended to one list in one recursive pass.
+
+    json writes indent=2 in pure Python, through a generator per container.
+    Here exact dicts, lists and tuples are walked directly, and their exact
+    str, int, bool and None values are written inline.  Everything else is
+    told apart by isinstance in json's order (subclasses included): str,
+    None, True, False, int, float, list or tuple, dict, and then str(o).
+    Keys are sorted first and converted afterwards, as json does; a mixed
+    key set raises the same TypeError.  Payloads are trees, so there is no
+    circular-reference check.
+    """
+    out = []
+    put = out.append
+    quote = json.encoder.encode_basestring_ascii
+
+    def atom(o):
+        """The text of a str, None, bool, int or float, else None."""
+        if isinstance(o, str):
+            return quote(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            text = float.__repr__(o)
+            return {"nan": "NaN", "inf": "Infinity",
+                    "-inf": "-Infinity"}.get(text, text)
+        return None
+
+    def write(o, nl):
+        """Append o's text; nl is the newline and indent of its line."""
+        t = type(o)
+        if t is not dict and t is not list and t is not tuple:
+            text = atom(o)
+            if text is not None:
+                return put(text)
+            if isinstance(o, (list, tuple)):
+                t = list
+            elif isinstance(o, dict):
+                t = dict
+            else:
+                return write(str(o), nl)
+        if not o:
+            return put("{}" if t is dict else "[]")
+        inner = nl + "  "
+        if t is dict:
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                if type(k) is not str:
+                    text = k if isinstance(k, str) else atom(k)
+                    if text is None:
+                        raise TypeError(f"keys must be str, int, float, bool "
+                                        f"or None, not {type(k).__name__}")
+                    k = text
+                tv = type(v)
+                if tv is str:
+                    put(sep + quote(k) + ": " + quote(v))
+                else:
+                    put(sep + quote(k) + ": ")
+                    if tv is int:
+                        put(int.__repr__(v))
+                    elif tv is bool:
+                        put("true" if v else "false")
+                    elif v is None:
+                        put("null")
+                    else:
+                        write(v, inner)
+                sep = "," + inner
+            put(nl + "}")
+        else:
+            sep = "[" + inner
+            for v in o:
+                tv = type(v)
+                if tv is str:
+                    put(sep + quote(v))
+                else:
+                    put(sep)
+                    if tv is int:
+                        put(int.__repr__(v))
+                    elif tv is bool:
+                        put("true" if v else "false")
+                    elif v is None:
+                        put("null")
+                    else:
+                        write(v, inner)
+                sep = "," + inner
+            put(nl + "]")
+
+    write(payload, "\n")
+    return "".join(out)
+
+
 def _emit(args, payload, text_lines):
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
+        print(_json_text(payload))
     else:
         for line in text_lines:
             print(line)

@@ -134,8 +134,9 @@ class EvPerPoint:
         return not self.prefix
 
     def __str__(self):
-        pre = "".join(map(str, self.prefix))
-        cyc = "".join(map(str, self.cycle))
+        join = self.presentation.label_separator.join
+        pre = join(map(str, self.prefix))
+        cyc = join(map(str, self.cycle))
         return f"{pre}/{cyc}"
 
 
@@ -306,7 +307,8 @@ class BiPoint:
         return len(self.right_cycle)
 
     def __str__(self):
-        lc = "".join(map(str, self.left_cycle))
-        mid = "".join(map(str, self.middle))
-        rc = "".join(map(str, self.right_cycle))
+        join = self.presentation.label_separator.join
+        lc = join(map(str, self.left_cycle))
+        mid = join(map(str, self.middle))
+        rc = join(map(str, self.right_cycle))
         return f"{lc}|{mid}|{rc}@{self.phase}"

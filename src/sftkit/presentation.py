@@ -60,6 +60,12 @@ class Presentation:
                 raise ZeroRowOrColumn("column", self._index[v])
         # points hash their presentation on every memo lookup
         self._hash = hash((self.labels, self.edges))
+        # points print a word's labels joined by this: "." once an int or
+        # str label prints as more than one character, so that (1, 11) and
+        # (11, 1) print apart
+        self.label_separator = "." if any(
+            isinstance(v, (int, str)) and len(str(v)) > 1
+            for v in self.labels) else ""
 
     # -- basic structure ---------------------------------------------------
 

@@ -195,11 +195,12 @@ class FlowMapData:
 
     The bundle memoises three reads: phi's image of each one-sided point,
     the WeightProfile of n along each two-sided point, and bold_varphi's cut
-    for each left cycle (cut).  Each memo is keyed by a whole (canonical,
-    hence structural) point, so it returns only a value computed from an
-    equal input, and a failed computation is never stored; the memos live
-    and die with the bundle, and primed() starts the mirror with empty
-    memos.
+    for each left cycle (cut).  The first two are keyed by a whole
+    (canonical, hence structural) point, the cut by the pair (presentation,
+    left cycle) that determines z*, so each returns only a value computed
+    from an equal input, and a failed computation is never stored; the
+    memos live and die with the bundle, and primed() starts the mirror with
+    empty memos.
     """
 
     def __init__(self, h: PointMap, k, l, k_prime, l_prime,
@@ -274,24 +275,26 @@ class FlowMapData:
         left cycle.
 
         z* = left_cycle^inf is canonical (the left cycle of a canonical
-        point is primitive) and keys the memo.  Q, n summed over one left
-        period, is profile.pre[p] for the profile of any point with this
-        left cycle.  b* = phi(z*)[0, Q) is a window of an admissible point.
-        The anchor a* is the largest multiple of p at most -clearance, where
-        the clearance W + width(n) + p comes from phi's continuity modulus:
-        W input symbols determine the Q + max(b) output symbols the cut
-        reads.  None of these depends on the phase.
+        point is primitive), so (bx.presentation, bx.left_cycle) determines
+        it and keys the memo; z* is built only on a miss.  Q, n summed over
+        one left period, is profile.pre[p] for the profile of any point
+        with this left cycle.  b* = phi(z*)[0, Q) is a window of an
+        admissible point.  The anchor a* is the largest multiple of p at
+        most -clearance, where the clearance W + width(n) + p comes from
+        phi's continuity modulus: W input symbols determine the Q + max(b)
+        output symbols the cut reads.  None of these depends on the phase.
         """
-        z_star = EvPerPoint(bx.presentation, (), bx.left_cycle)
-        cut = self._cuts.get(z_star)
+        key = bx.presentation, bx.left_cycle
+        cut = self._cuts.get(key)
         if cut is None:
+            z_star = EvPerPoint(bx.presentation, (), bx.left_cycle)
             p = profile.p
             Q = profile.pre[p]
             W = max(self.h.prefix_needed(Q + max(self.b.max_value(), 0)),
                     self.b.width())
             clearance = W + self.n.width() + p
-            cut = self._cuts[z_star] = (-clearance - (-clearance) % p,
-                                        self.phi(z_star).symbols(Q))
+            cut = self._cuts[key] = (-clearance - (-clearance) % p,
+                                     self.phi(z_star).symbols(Q))
         return cut
 
     def primed(self) -> "FlowMapData":
@@ -471,10 +474,13 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
     and denominator on that floor: r_{sigma x}(t) serves both the time
     change at p = 1 and the suspension claim.  Per sample point x, the
     shifts sigma^j x (j in j_range, p_range and 1) and the label are built
-    up front.  Each claim reads its values in the order of its formula and
-    a failed computation is never stored, so the error a claim on a
-    corrupted bundle reports does not depend on what earlier claims
-    computed.
+    up front.  The suspension claim reads each side's image and profile
+    once, checks the fractional parts at every grid time, and compares the
+    two shifted images once per distinct pair of floors; a claim whose two
+    sides are equal formats them once.  Each claim reads its values in the
+    order of its formula and a failed computation is never stored, so the
+    error a claim on a corrupted bundle reports does not depend on what
+    earlier claims computed.
     """
     sample = list(sample)
     for bx in sample:
@@ -501,8 +507,11 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
             passed, lhs, rhs = thunk()
         except (SftError, ValueError) as e:
             passed, lhs, rhs = False, f"error: {e}", ""
+        lhs_text = str(lhs)
+        rhs_text = (lhs_text if type(lhs) is type(rhs) and lhs == rhs
+                    else str(rhs))
         results.append(ClaimResult(claim, label, params, passed,
-                                   str(lhs), str(rhs)))
+                                   lhs_text, rhs_text))
 
     # attempt calls each thunk at once, so the thunks read the loop
     # variables directly
@@ -546,13 +555,26 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
                     time_change)
 
         def representative():
+            # each side's image and profile are read once, at the first
+            # grid time, in the order the formula reads them; the shifted
+            # images are compared once per pair of floors
             sx = shifted[1]
+            wa = wb = None
+            same = {}
             for t, (a, d) in zip(t_grid, grid):
-                ya, (an, ad) = phi2(sx), D.profile(sx).r_over(a, d)
-                yb, (bn, bd) = phi2(bx), D.profile(bx).r_over(a + d, d)
+                if wa is None:
+                    ya, wa = phi2(sx), D.profile(sx)
+                an, ad = wa.r_over(a, d)
+                if wb is None:
+                    yb, wb = phi2(bx), D.profile(bx)
+                bn, bd = wb.r_over(a + d, d)
                 fa, fb = an // ad, bn // bd
-                if ((an - fa * ad) * bd != (bn - fb * bd) * ad
-                        or ya.shift(fa) != yb.shift(fb)):
+                agree = (an - fa * ad) * bd == (bn - fb * bd) * ad
+                if agree:
+                    agree = same.get((fa, fb))
+                    if agree is None:
+                        agree = same[fa, fb] = ya.shift(fa) == yb.shift(fb)
+                if not agree:
                     sa = SuspensionPoint.make(ya, Fraction(an, ad))
                     sb = SuspensionPoint.make(yb, Fraction(bn, bd))
                     return False, f"{sa} at t={t}", f"{sb}"

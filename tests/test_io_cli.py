@@ -5,10 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sftkit
 from sftkit import BiPoint, CylinderFunction, EvPerPoint, full_shift
-from sftkit.cli import main
+from sftkit.cli import _json_text, main
 from sftkit.errors import ParseError
 from sftkit import io as sio
 
@@ -142,34 +143,132 @@ def test_cli_json_deterministic(tree, capsys):
     assert payload["claims_failed"] == 0
 
 
-@pytest.mark.parametrize("source, argv, digest", [
+@pytest.mark.parametrize("source, argv, digest, code", [
     ("pe.oe", ["pipeline", "--seed", "3", "--samples", "16"],
-     "59f913346f8988a8d373f7485f6c6f90595c88460dd8e92b01da1cbae0940633"),
+     "59f913346f8988a8d373f7485f6c6f90595c88460dd8e92b01da1cbae0940633", 0),
     ("pe.oe", ["verify-claims", "--seed", "3", "--samples", "8"],
-     "4bc1dfe02fc9e5b3ed8cc2c2937c3496049c04a17cb994b88f6ccfbb0ef9b2e2"),
+     "4bc1dfe02fc9e5b3ed8cc2c2937c3496049c04a17cb994b88f6ccfbb0ef9b2e2", 0),
     ("pe.oe", ["verify-claims", "--seed", "5", "--samples", "6",
                "--j-range", "-1", "6", "--t-grid", "-3", "1"],
-     "b56e8b5ce9cb917d612b24816056296b0d38a3f2a8a8cb1006b7547ffae29b5d"),
+     "b56e8b5ce9cb917d612b24816056296b0d38a3f2a8a8cb1006b7547ffae29b5d", 0),
     ("pe.oe", ["derive-cocycles"],
-     "68f136efdbdcd9a973060fa02b0121a79b385078a0cb3b7d195acb169aa01779"),
+     "68f136efdbdcd9a973060fa02b0121a79b385078a0cb3b7d195acb169aa01779", 0),
     ("pe.oe", ["verify-coe"],
-     "955cbfae4cff16bc5a30493605f1d1dd2e45d5f162b2f10ac6b767ddc21ef75d"),
+     "955cbfae4cff16bc5a30493605f1d1dd2e45d5f162b2f10ac6b767ddc21ef75d", 0),
     ("vm.oe", ["pipeline", "--seed", "3", "--samples", "16"],
-     "419763b4a45055519781008effe621220cbdd7cc723e61bb872dbcabe98b5d8c"),
+     "419763b4a45055519781008effe621220cbdd7cc723e61bb872dbcabe98b5d8c", 0),
     ("vm.oe", ["derive-cocycles"],
-     "c504b21edcac2e8b40fd3c8d3fb50027b360cfba85678b9a83fb3f269b8ecf9e"),
+     "c504b21edcac2e8b40fd3c8d3fb50027b360cfba85678b9a83fb3f269b8ecf9e", 0),
     ("vm.oe", ["verify-coe"],
-     "955cbfae4cff16bc5a30493605f1d1dd2e45d5f162b2f10ac6b767ddc21ef75d"),
+     "955cbfae4cff16bc5a30493605f1d1dd2e45d5f162b2f10ac6b767ddc21ef75d", 0),
+    ("golden.sft", ["invariants"],
+     "bad0574f63b9b91df577644ea5affef60487629f6da766a9c7eba042fe84c068", 0),
+    ("golden.sft", ["language", "-m", "3"],
+     "47d1f35c46a2ee84f282b08fa2107e2944e5d2409644c16815d56715a3a7cae0", 0),
+    ("full2.sft", ["potential", "--f", "fn.fn"],
+     "24472eb2fc00b4c356f245545227090190593bdcb3c0b4f77d3932fcade13436", 0),
+    ("full2.sft", ["potential", "--f", "neg.fn"],
+     "04391e8759bf214fa87e358e87cf28b2aacc92db20d5f5f9e0b9dcfa0590254c", 1),
+    ("full2.sft", ["positive", "--f", "fn.fn"],
+     "c493f3f8458913df890ec232a6570c01ffa1038d81f401b661a61d334f5b3e5b", 0),
+    ("full2.sft", ["positive", "--f", "neg.fn"],
+     "6f9d299c7fad52aef3dbb76b0398ef09011cd90874cd83f220c5126d1093c9d1", 1),
+    ("golden.sft", ["tower", "--f", "const:2", "--check-invariants"],
+     "bb4bc88f6f30db9296184aba6cf690130b76866cb988ae4878a73168b958a9a7", 0),
+    ("full2.sft", ["move", "--kind", "out_split", "--vertex", "0",
+                   "--parts", "0;1"],
+     "8fb1e5bab9afd3435e6bb658bf93182da515c7eb0451deb64ec409eef7173998", 0),
+    ("golden.sft", ["groupoid-check", "--samples", "5", "--seed", "2"],
+     "2454024a023f5f45f3e457e5004cff130cf92e4ad036368f01ecdf5a1780600e", 0),
 ], ids=["pipeline", "verify-claims", "verify-claims-ranges",
         "derive-cocycles", "verify-coe", "vm-pipeline", "vm-derive-cocycles",
-        "vm-verify-coe"])
-def test_cli_json_digests_are_pinned(tree, capsys, source, argv, digest):
+        "vm-verify-coe", "invariants", "language", "potential",
+        "potential-negative-cycle", "positive", "not-positive", "tower",
+        "move", "groupoid-check"])
+def test_cli_json_digests_are_pinned(tree, capsys, monkeypatch, source, argv,
+                                     digest, code):
     # the --json contract: these bytes do not depend on the file's path, so
-    # any change to them is a change of the output format or of a result
+    # any change to them is a change of the output format or of a result;
+    # --f names its file relative to the tree
+    monkeypatch.chdir(tree)
     verb, *flags = argv
-    assert main([verb, str(tree / source), "--json", *flags]) == 0
+    assert main([verb, str(tree / source), "--json", *flags]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _Tag(str):
+    pass
+
+
+class _Count(int):
+    def __repr__(self):
+        return "not json's spelling"
+
+
+class _Table(dict):
+    pass
+
+
+class _Row(list):
+    pass
+
+
+class _Opaque:
+    """A value json cannot encode; default=str spells it."""
+
+    def __str__(self):
+        return "opaque \u2713\n\x00"
+
+
+_TEXT = st.text(st.characters(max_codepoint=0x2FFF, blacklist_categories=(
+    "Cs",)))
+_KEYS = [_TEXT, st.integers(), st.floats(), st.booleans(), st.none(),
+         st.builds(_Tag, _TEXT)]
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     _TEXT, st.builds(_Tag, _TEXT),
+                     st.builds(_Count, st.integers()), st.builds(_Opaque),
+                     st.fractions())
+
+
+def _trees(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_Row),
+        st.one_of([st.dictionaries(k, children, max_size=4) for k in _KEYS]),
+        st.dictionaries(_TEXT, children, max_size=4).map(_Table))
+
+
+def _dumps_outcome(encode, payload):
+    try:
+        return encode(payload)
+    except Exception as e:  # the exception type is part of the contract
+        return type(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_SCALARS, _trees, max_leaves=24))
+def test_json_writer_matches_json_dumps(payload):
+    """--json is written by _json_text, which must return json.dumps's text
+    for sort_keys=True, indent=2, default=str: nested and empty containers,
+    tuples, non-ASCII and control characters, NaN and infinities, every
+    kind of key, subclasses of dict, list, str and int, and objects json
+    cannot encode."""
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True,
+                                             indent=2, default=str)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.one_of(*_KEYS, st.tuples(st.integers()),
+                                 st.builds(_Opaque)),
+                       st.integers(), max_size=4))
+def test_json_writer_fails_like_json_dumps(payload):
+    """Keys json cannot compare or convert (mixed types, tuples, other
+    objects) raise the exception type json.dumps raises."""
+    assert _dumps_outcome(_json_text, payload) == _dumps_outcome(
+        lambda x: json.dumps(x, sort_keys=True, indent=2, default=str),
+        payload)
 
 
 def _claim_counts(verb, payload):

@@ -359,3 +359,24 @@ def test_equal_presentations_hash_equal(seed, rng):
     cycle = P.cycles(3)[0]
     assert hash(EvPerPoint(P, (), cycle)) == hash(EvPerPoint(Q, (), cycle))
     assert {P: 1}[Q] == 1
+
+
+def test_point_strings_tell_apart_labels_of_several_characters():
+    """On a shift with 11 or more vertices, (1, 11) and its shift (11, 1)
+    used to print alike; a word's labels are joined by "." as soon as one
+    int or str label prints as more than one character."""
+    P = full_shift(12)
+    x = BiPoint.periodic(P, (1, 11))
+    assert (str(x), str(x.shift(1))) == ("1.11||1.11@0", "11.1||11.1@0")
+    assert str(EvPerPoint.make(P, (10,), (1, 11))) == "10/1.11"
+    assert str(BiPoint.make(P, (0,), (10, 2), (3,), 1)) == "0|10.2|3@1"
+    Q = full_shift(2, ("a", "bc"))
+    assert str(BiPoint.periodic(Q, ("a", "bc"))) == "a.bc||a.bc@0"
+    # one-character labels and tuple labels (towers) keep the plain spelling
+    assert str(BiPoint.periodic(full_shift(10), (1, 9))) == "19||19@0"
+    assert str(EvPerPoint.make(full_shift(2, ("a", "b")), ("a",), ("b",))) \
+        == "a/b"
+    T = Presentation([(0, 0), (0, 1)], [((0, 0), (0, 1)), ((0, 1), (0, 0))])
+    assert T.label_separator == ""
+    assert str(BiPoint.periodic(T, ((0, 0), (0, 1)))) \
+        == "(0, 0)(0, 1)||(0, 0)(0, 1)@0"

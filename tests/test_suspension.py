@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -479,6 +481,33 @@ def test_each_value_is_computed_once_per_point(full2, std_exchange,
     assert counts["__init__"] <= 10
     assert len(floors) == 41 and set(floors.values()) == {1}
     assert counts["make"] == 0
+
+
+def test_suspension_claim_shifts_once_per_pair_of_floors(full2, std_exchange,
+                                                         monkeypatch):
+    """The suspension claim compares sigma^fa phi(sigma x) with
+    sigma^fb phi(x), where fa and fb are the floors of r_{sigma x}(t) and
+    r_x(t + 1), once per distinct pair (fa, fb): it calls BiPoint.shift at
+    most twice per pair, where it called it twice per grid time."""
+    D = coe_to_flow_pipeline(OrbitEquivalence(std_exchange))
+    grid = quarter_grid()
+    shift = BiPoint.shift
+    calls = Counter()
+
+    def counted(self, j=1):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return shift(self, j)
+    for bx in [BiPoint.make(full2, (0,), (1, 1, 0), (0, 1), -1),
+               BiPoint.periodic(full2, (0, 1, 1))]:
+        sx = bx.shift(1)
+        floors = {(math.floor(r_eval(D.n, sx, t)),
+                   math.floor(r_eval(D.n, bx, t + 1))) for t in grid}
+        assert len(floors) < len(grid)
+        calls.clear()
+        monkeypatch.setattr(BiPoint, "shift", counted)
+        assert verify_flow_claims(D, [bx], t_grid=grid).all_pass()
+        monkeypatch.undo()
+        assert 0 < calls["representative"] <= 2 * len(floors)
 
 
 # -- the claim battery before its memos, kept as an oracle -------------------
