@@ -4,8 +4,8 @@ Exit codes: 0 success / verified, 1 verified false (counterexamples in the
 output), 2 input error, 3 inconclusive round trip (pipeline and
 verify-claims).  Cocycles are derived as deep as the map's stages prove,
 with no depth option.  All output is deterministic for fixed inputs and
-flags; --json emits sorted JSON, indented by two spaces, written by one
-exact pass (_json_text) whose bytes are json.dumps's.
+flags; --json emits json.dumps's sorted, two-space-indented text of exact
+values only: dicts, lists, str, int, bool and None (_json_text).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 
 from . import io as sio
 from .cohomology import (
@@ -45,53 +46,21 @@ class _BadArgument(SftError):
 
 
 def _json_text(payload) -> str:
-    """Exactly the text json.dumps(payload, sort_keys=True, indent=2,
-    default=str) returns, appended to one list in one recursive pass.
-
-    json writes indent=2 in pure Python, through a generator per container.
-    Here exact dicts, lists and tuples are walked directly, and their exact
-    str, int, bool and None values are written inline.  Everything else is
-    told apart by isinstance in json's order (subclasses included): str,
-    None, True, False, int, float, list or tuple, dict, and then str(o).
-    Keys are sorted first and converted afterwards, as json does; a mixed
-    key set raises the same TypeError.  Payloads are trees, so there is no
-    circular-reference check.
+    """Exactly json.dumps(payload, sort_keys=True, indent=2) for a dict or
+    list of exact values: dicts with str keys, lists, and str, int, bool and
+    None leaves, written inline in one pass over the tree.  Anything else (a
+    float, a tuple, a subclass, a Fraction, any other object or key) raises
+    TypeError naming its type, so no inexact value reaches --json.
     """
     out = []
     put = out.append
     quote = json.encoder.encode_basestring_ascii
 
-    def atom(o):
-        """The text of a str, None, bool, int or float, else None."""
-        if isinstance(o, str):
-            return quote(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            text = float.__repr__(o)
-            return {"nan": "NaN", "inf": "Infinity",
-                    "-inf": "-Infinity"}.get(text, text)
-        return None
-
     def write(o, nl):
-        """Append o's text; nl is the newline and indent of its line."""
+        """Append the dict or list o; nl is its line's newline and indent."""
         t = type(o)
-        if t is not dict and t is not list and t is not tuple:
-            text = atom(o)
-            if text is not None:
-                return put(text)
-            if isinstance(o, (list, tuple)):
-                t = list
-            elif isinstance(o, dict):
-                t = dict
-            else:
-                return write(str(o), nl)
+        if t is not dict and t is not list:
+            raise TypeError(f"--json cannot write a {t.__name__}")
         if not o:
             return put("{}" if t is dict else "[]")
         inner = nl + "  "
@@ -99,11 +68,8 @@ def _json_text(payload) -> str:
             sep = "{" + inner
             for k, v in sorted(o.items()):
                 if type(k) is not str:
-                    text = k if isinstance(k, str) else atom(k)
-                    if text is None:
-                        raise TypeError(f"keys must be str, int, float, bool "
-                                        f"or None, not {type(k).__name__}")
-                    k = text
+                    raise TypeError(f"--json cannot write a "
+                                    f"{type(k).__name__} key")
                 tv = type(v)
                 if tv is str:
                     put(sep + quote(k) + ": " + quote(v))
@@ -194,16 +160,15 @@ def cmd_tower(args):
     lines = [] if args.out else [text.rstrip()]
     payload = {"vertices": len(tower.presentation.labels),
                "file": args.out or None}
+    preserved = True
     if args.check_invariants:
         before, after = bowen_franks(P), bowen_franks(tower.presentation)
         preserved = before == after
         payload.update({"det_before": before.det, "det_after": after.det,
                         "preserved": preserved})
         lines.append(f"det preserved: {str(preserved).lower()}")
-        _emit(args, payload, lines)
-        return OK if preserved else FALSIFIED
     _emit(args, payload, lines)
-    return OK
+    return OK if preserved else FALSIFIED
 
 
 def _vertex_label(P, index):
@@ -307,10 +272,6 @@ def cmd_verify_coe(args):
     return OK if rep.least_period_preserving else FALSIFIED
 
 
-def _claim_sample(h, seed, count):
-    return random_bipoints(random.Random(seed), h.domain, count)
-
-
 def _claims_exit(rep):
     """FALSIFIED if a claim fails outright; INCONCLUSIVE if every failed
     claim is a round trip whose shift search found nothing within its
@@ -323,7 +284,7 @@ def _claims_exit(rep):
 def cmd_pipeline(args):
     h = sio.read_orbit_equivalence(args.oe)
     D = coe_to_flow_pipeline(h, scoe=args.scoe)
-    sample = _claim_sample(h, args.seed, args.samples)
+    sample = random_bipoints(random.Random(args.seed), h.domain, args.samples)
     rep = verify_flow_claims(D, sample)
     summary = {
         "cocycle_depth": D.k.depth,
@@ -347,17 +308,13 @@ def cmd_pipeline(args):
 def cmd_verify_claims(args):
     h = sio.read_orbit_equivalence(args.oe)
     D = coe_to_flow_pipeline(h)
-    sample = _claim_sample(h, args.seed, args.samples)
+    sample = random_bipoints(random.Random(args.seed), h.domain, args.samples)
     grid = quarter_grid(args.t_grid[0], args.t_grid[1])
     rep = verify_flow_claims(D, sample, j_range=tuple(args.j_range),
                              t_grid=grid)
-    by_claim = {}
-    for r in rep.results:
-        s = by_claim.setdefault(r.claim, [0, 0])
-        s[0] += 1
-        s[1] += 0 if r.passed else 1
-    lines = [f"{c}: {tot - bad}/{tot} pass" for c, (tot, bad)
-             in sorted(by_claim.items())]
+    total = Counter(r.claim for r in rep.results)
+    passed = Counter(r.claim for r in rep.results if r.passed)
+    lines = [f"{c}: {passed[c]}/{total[c]} pass" for c in sorted(total)]
     _emit(args, {"claims": rep.as_list()}, lines)
     return _claims_exit(rep)
 
@@ -379,7 +336,7 @@ def cmd_groupoid_check(args):
         _require(compose(unit(x), a) == a, "left unit")
         checks["axioms"] += 1
         g = CylinderFunction(P, 1, {w: rng.randint(-2, 2)
-                                    for w in P.language(1)})
+                                    for w in P.words(1)})
         val = groupoid_cocycle_eval(g, compose(a, b))
         _require(val == (groupoid_cocycle_eval(g, a)
                          + groupoid_cocycle_eval(g, b)), "additivity")

@@ -46,7 +46,8 @@ def parse_presentation(text: str, source="<sft>") -> Presentation:
     if not lines or lines[0][1] != "sft v1":
         raise ParseError(source, 1, "expected header 'sft v1'")
     if len(lines) < 2 or not lines[1][1].startswith("vertices "):
-        raise ParseError(source, lines[0][0], "expected 'vertices N'")
+        # the second line, or the header when the file ends there
+        raise ParseError(source, lines[:2][-1][0], "expected 'vertices N'")
     parts = lines[1][1].split()
     if len(parts) != 2:
         raise ParseError(source, lines[1][0],
@@ -215,8 +216,10 @@ def read_orbit_equivalence(path: str) -> OrbitEquivalence:
     their vertices matched index by index.
 
     Paths are resolved relative to the file.  A file that composes itself,
-    directly or through others, is a ParseError, and so is a bad vertex map
-    (first vmap line, else codomain line) or a bad code (first map line).
+    directly or through others, is a ParseError, and so is a composition
+    whose first file's codomain is not the second's domain (compose line),
+    a bad vertex map (first vmap line, else codomain line) or a bad code
+    (first map line).
     """
     return _read_orbit_equivalence(path, ())
 
@@ -242,8 +245,11 @@ def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
                 cycle = opening[opening.index(real):] + (real,)
                 raise ParseError(path, body[0][0],
                                  "compose cycle: " + " -> ".join(cycle))
-        return _read_orbit_equivalence(first, opening).compose(
-            _read_orbit_equivalence(second, opening))
+        h, g = (_read_orbit_equivalence(p, opening) for p in (first, second))
+        if h.codomain != g.domain:
+            raise ParseError(path, body[0][0], f"the codomain of {parts[1]} "
+                             f"is not the domain of {parts[2]}")
+        return h.compose(g)
     sides = {}
     pairs = []
     vmap_rows = []

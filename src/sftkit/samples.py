@@ -39,11 +39,11 @@ def random_cylinder_function(rng: random.Random, P: Presentation,
     if d == 0:
         return CylinderFunction.constant(P, rng.randint(lo, hi))
     return CylinderFunction(P, d, {w: rng.randint(lo, hi)
-                                   for w in P.language(d)})
+                                   for w in P.words(d)})
 
 
-def random_point(rng: random.Random, P: Presentation, max_prefix=3,
-                 max_cycle=4) -> EvPerPoint:
+def random_point(rng: random.Random, P: Presentation,
+                 max_prefix=3) -> EvPerPoint:
     """Random eventually periodic point via a random admissible walk,
     closed off at the first vertex repetition past a random prefix."""
     drop = rng.randint(0, max_prefix)
@@ -54,7 +54,7 @@ def random_point(rng: random.Random, P: Presentation, max_prefix=3,
     while True:
         walk.append(rng.choice(P.out_neighbors(walk[-1])))
         v = walk[-1]
-        if v in seen and seen[v] >= 0:
+        if v in seen:
             i = seen[v]
             return EvPerPoint.make(P, tuple(walk[:i]), tuple(walk[i:-1]))
         seen[v] = len(walk) - 1
@@ -78,14 +78,13 @@ def _path_to(P, a, b, rng):
 
 
 def random_bipoint(rng: random.Random, P: Presentation, max_cycle=4,
-                   max_middle=3, periodic_bias=0.4) -> BiPoint:
+                   periodic_bias=0.4) -> BiPoint:
     """A random two-sided point lc^inf . mid . rc^inf (see random_bipoints)."""
-    return random_bipoints(rng, P, 1, max_cycle, max_middle,
-                           periodic_bias)[0]
+    return random_bipoints(rng, P, 1, max_cycle, periodic_bias)[0]
 
 
 def random_bipoints(rng: random.Random, P: Presentation, count, max_cycle=4,
-                    max_middle=3, periodic_bias=0.4) -> list:
+                    periodic_bias=0.4) -> list:
     """`count` random two-sided points, drawn one after another exactly as
     random_bipoint draws them; P's cycles are listed once for all of them.
 
@@ -105,7 +104,7 @@ def random_bipoints(rng: random.Random, P: Presentation, count, max_cycle=4,
         rc = rng.choice([c for c in cycles if c[0] in ahead])
         # connect lc's end to rc's start, optionally detouring once
         mid = _path_to(P, lc[-1], rc[0], rng)[:-1]
-        if rng.random() < 0.5 and max_middle:
+        if rng.random() < 0.5:
             last = mid[-1] if mid else lc[-1]
             ext = rng.choice([u for u in P.out_neighbors(last)
                               if rc[0] in P.reachable(u)])

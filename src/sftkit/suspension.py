@@ -453,7 +453,7 @@ def find_round_trip_shift(x: BiPoint, w: BiPoint, bound: int):
 
 
 def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
-                       t_grid=None, p_range=(-3, 3), d_bound=None) -> ClaimReport:
+                       t_grid=None, p_range=(-3, 3)) -> ClaimReport:
     """Exact per-point verification of the flow-equivalence identities.
 
     Checks, for each sampled two-sided point: shift equivariance of the
@@ -531,7 +531,7 @@ def verify_flow_claims(D: FlowMapData, sample, j_range=(-4, 4),
                 expect = D.profile(bx).m(bx.least_period())
                 return lp_img == expect, lp_img, expect
             attempt("period-scaling", {"lp": bx.least_period()}, scaling)
-        bound = d_bound if d_bound is not None else robert_bound(D, bx)
+        bound = robert_bound(D, bx)
         params = {"bound": bound}
 
         def round_trip():

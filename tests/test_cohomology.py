@@ -498,6 +498,18 @@ def test_functions_on_another_presentation_are_rejected(full2, gm):
             call()
 
 
+def _language_function(rng, P, max_depth, lo=-2, hi=2):
+    """A random function drawn word by word over the set P.language(d), as
+    random_cylinder_function drew before it iterated P.words(d).  On these
+    int-labelled shifts the set's order does not depend on the hash seed,
+    and the pinned pool below is drawn this way."""
+    d = rng.randint(0, max_depth)
+    if d == 0:
+        return CylinderFunction.constant(P, rng.randint(lo, hi))
+    return CylinderFunction(P, d, {w: rng.randint(lo, hi)
+                                   for w in P.language(d)})
+
+
 def _positivity_pool():
     """A fixed pool of 40 classes on 2-5 vertex shifts: planted positive
     classes n + db, coboundaries db and random classes, depth 1-4."""
@@ -505,12 +517,12 @@ def _positivity_pool():
     pool = []
     for i in range(40):
         P = random_presentation(rng, 5, 2)
-        f = random_cylinder_function(rng, P, max_depth=4)
+        f = _language_function(rng, P, max_depth=4)
         if i % 4 == 0:
-            n = random_cylinder_function(rng, P, max_depth=3, lo=0, hi=2)
-            f = n + random_cylinder_function(rng, P, max_depth=3).coboundary()
+            n = _language_function(rng, P, max_depth=3, lo=0, hi=2)
+            f = n + _language_function(rng, P, max_depth=3).coboundary()
         elif i % 4 == 1:
-            f = random_cylinder_function(rng, P, max_depth=3).coboundary()
+            f = _language_function(rng, P, max_depth=3).coboundary()
         pool.append((P, f))
     return pool
 

@@ -202,8 +202,7 @@ class _Tag(str):
 
 
 class _Count(int):
-    def __repr__(self):
-        return "not json's spelling"
+    pass
 
 
 class _Table(dict):
@@ -215,60 +214,74 @@ class _Row(list):
 
 
 class _Opaque:
-    """A value json cannot encode; default=str spells it."""
-
-    def __str__(self):
-        return "opaque \u2713\n\x00"
+    """An object json cannot encode."""
 
 
 _TEXT = st.text(st.characters(max_codepoint=0x2FFF, blacklist_categories=(
     "Cs",)))
-_KEYS = [_TEXT, st.integers(), st.floats(), st.booleans(), st.none(),
-         st.builds(_Tag, _TEXT)]
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                     _TEXT, st.builds(_Tag, _TEXT),
-                     st.builds(_Count, st.integers()), st.builds(_Opaque),
-                     st.fractions())
 
 
-def _trees(children):
-    return st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.lists(children, max_size=4).map(_Row),
-        st.one_of([st.dictionaries(k, children, max_size=4) for k in _KEYS]),
-        st.dictionaries(_TEXT, children, max_size=4).map(_Table))
+def _containers(children):
+    return st.one_of(st.lists(children, max_size=4),
+                     st.dictionaries(_TEXT, children, max_size=4))
 
 
-def _dumps_outcome(encode, payload):
-    try:
-        return encode(payload)
-    except Exception as e:  # the exception type is part of the contract
-        return type(e)
+# dicts with str keys, lists and str, int, bool and None leaves: the values
+# --json writes, nested and empty, with non-ASCII and control characters
+_EXACT_TREES = _containers(st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT), _containers,
+    max_leaves=24))
+# floats (NaN and infinities included), tuples, subclasses of the exact
+# types, Fractions and other objects
+_INEXACT = st.one_of(
+    st.floats(), st.tuples(st.integers()), st.builds(_Tag, _TEXT),
+    st.builds(_Count, st.integers()), st.builds(_Table), st.builds(_Row),
+    st.fractions(), st.builds(_Opaque))
+_INEXACT_KEYS = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(),
+    st.builds(_Tag, _TEXT), st.tuples(st.integers()), st.fractions(),
+    st.builds(_Opaque))
+
+
+def _nested(tree):
+    """tree and every dict and list inside it."""
+    yield tree
+    for v in (tree.values() if type(tree) is dict else tree):
+        if type(v) is dict or type(v) is list:
+            yield from _nested(v)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.recursive(_SCALARS, _trees, max_leaves=24))
+@given(_EXACT_TREES)
 def test_json_writer_matches_json_dumps(payload):
     """--json is written by _json_text, which must return json.dumps's text
-    for sort_keys=True, indent=2, default=str: nested and empty containers,
-    tuples, non-ASCII and control characters, NaN and infinities, every
-    kind of key, subclasses of dict, list, str and int, and objects json
-    cannot encode."""
+    for sort_keys=True, indent=2 on every tree of exact values: nested and
+    empty containers, non-ASCII and control characters, every int."""
     assert _json_text(payload) == json.dumps(payload, sort_keys=True,
-                                             indent=2, default=str)
+                                             indent=2)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.one_of(*_KEYS, st.tuples(st.integers()),
-                                 st.builds(_Opaque)),
-                       st.integers(), max_size=4))
-def test_json_writer_fails_like_json_dumps(payload):
-    """Keys json cannot compare or convert (mixed types, tuples, other
-    objects) raise the exception type json.dumps raises."""
-    assert _dumps_outcome(_json_text, payload) == _dumps_outcome(
-        lambda x: json.dumps(x, sort_keys=True, indent=2, default=str),
-        payload)
+@settings(max_examples=400, deadline=None)
+@given(_EXACT_TREES, st.data())
+def test_json_writer_refuses_inexact_values(payload, data):
+    """One inexact value or non-str key anywhere in a tree, or an inexact
+    payload, raises TypeError naming its type."""
+    spots = list(_nested(payload))
+    spot = data.draw(st.sampled_from(spots + [None]))
+    if spot is None:
+        payload = bad = data.draw(_INEXACT)
+    elif type(spot) is list:
+        bad = data.draw(_INEXACT)
+        spot.insert(data.draw(st.integers(0, len(spot))), bad)
+    elif data.draw(st.booleans()):
+        bad = data.draw(_INEXACT)
+        spot[data.draw(_TEXT)] = bad
+    else:
+        bad = data.draw(_INEXACT_KEYS)
+        spot.pop(bad, None)  # a _Tag key must not reuse an equal str key
+        spot[bad] = 0
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        _json_text(payload)
 
 
 def _claim_counts(verb, payload):
@@ -486,6 +499,100 @@ def test_cli_malformed_input_files_are_input_errors(tree, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+_READERS = {
+    "sft": sio.read_presentation,
+    "fn": lambda path: sio.read_cylinder_function(
+        path, sio.read_presentation("full2.sft")),
+    "oe": sio.read_orbit_equivalence,
+}
+_VERBS = {"sft": ["invariants"], "fn": ["positive", "full2.sft", "--f"],
+          "oe": ["verify-coe"]}
+GMID = ("oe v1\ndomain golden.sft\ncodomain golden.sft\n"
+        "map 0 -> 0\nmap 1 -> 1\n")
+LOOP = "sft v1\nvertices 1\nedge 0 0\n"
+
+
+@pytest.mark.parametrize("files, line, message", [
+    ({"a.sft": "sft v1\nedges 2\n"}, 2, "expected 'vertices N'"),
+    ({"a.sft": "sft v1\n"}, 1, "expected 'vertices N'"),
+    ({"a.sft": "sft v1\nvertices x\n"}, 2, "bad vertex count"),
+    ({"a.sft": "sft v1\nvertices 2\nedge 0\n"}, 3,
+     "expected 'edge u v', got 'edge 0'"),
+    ({"a.sft": "sft v1\nvertices 2\nedge 0 a\n"}, 3,
+     "edge endpoints must be integers"),
+    ({"a.fn": "fn depth=1\n0 1\nx 2\n"}, 3, "bad word 'x'"),
+    ({"a.fn": "fn depth=1\n0 1\n5 2\n"}, 3, "symbol out of range in '5'"),
+    ({"a.fn": "fn dep=1\n"}, 1, "expected header 'fn depth=d'"),
+    ({"a.fn": "fn depth=x\n"}, 1, "bad depth"),
+    ({"a.fn": "fn depth=1\n0 1 2\n"}, 2,
+     "expected '<word> <int>', got '0 1 2'"),
+    ({"a.fn": "fn depth=1\n0 x\n"}, 2, "bad integer 'x'"),
+    ({"a.fn": "fn depth=1\n0 1\n"}, 1,
+     "table must cover exactly the admissible 1-words (missing [(1,)], "
+     "extra [])"),
+    ({"a.oe": "oe v2\n"}, 1, "expected header 'oe v1'"),
+    ({"a.oe": "oe v1\ncompose pe.oe\n"}, 2, "compose needs two files"),
+    ({"a.oe": "oe v1\ncompose pe.oe gmid.oe\n", "gmid.oe": GMID}, 2,
+     "the codomain of pe.oe is not the domain of gmid.oe"),
+    ({"a.oe": PE + "map 0 1\n"}, 7, "map syntax is 'map u -> v'"),
+    ({"a.oe": PE + "vmap 0\n"}, 7, "vmap syntax is 'vmap i j'"),
+    ({"a.oe": PE + "bogus\n"}, 7, "unknown directive 'bogus'"),
+    ({"a.oe": "oe v1\ndomain full2.sft\nmap 0 -> 0\n"}, 1,
+     "need domain and codomain"),
+    ({"a.oe": PE.replace("map 0", "vmap 0 x\nvmap 1 0\nmap 0", 1)}, 4,
+     "bad vmap entry 0 x"),
+    ({"a.oe": "oe v1\ndomain full2.sft\ncodomain full2.sft\nmap 0 -> 0\n"
+              "map 10 -> 1\nmap 11 -> 1\n"}, 4,
+     "invalid orbit equivalence: pairing must be a bijection"),
+    ({"a.oe": "oe v1\ndomain loop.sft\ncodomain loop.sft\nmap - -> 0\n",
+      "loop.sft": LOOP}, 4,
+     "invalid orbit equivalence: empty word can only pair with empty word"),
+    ({"a.oe": "oe v1\ndomain full2.sft\ncodomain full2.sft\n"}, 1,
+     "invalid orbit equivalence: empty code"),
+    ({"a.oe": PE.replace("map 0 -> 10", "map - -> -\nmap 0 -> 10")}, 4,
+     "invalid orbit equivalence: the empty word must be the only code word"),
+    ({"a.oe": PE.replace("full2", "golden")}, 4,
+     "invalid orbit equivalence: code word (1, 1) not admissible"),
+], ids=["no-vertices-line", "header-only", "bad-vertex-count",
+        "short-edge-line", "non-integer-endpoint", "bad-word",
+        "symbol-out-of-range", "bad-fn-header", "bad-depth",
+        "long-fn-line", "bad-integer", "incomplete-table", "bad-oe-header",
+        "compose-one-file", "compose-endpoints-differ", "map-without-arrow",
+        "short-vmap-line", "unknown-directive", "no-codomain",
+        "bad-vmap-entry", "pairing-not-bijective", "empty-word-paired",
+        "empty-code", "empty-word-not-alone", "inadmissible-code-word"])
+def test_each_input_file_check_names_its_line(tree, capsys, monkeypatch,
+                                              files, line, message):
+    """Every check a file reader makes raises ParseError at the line it
+    names, and the CLI prints that path:line and exits 2."""
+    monkeypatch.chdir(tree)
+    for name, text in files.items():
+        (tree / name).write_text(text)
+    name = next(iter(files))
+    kind = name.rsplit(".", 1)[1]
+    with pytest.raises(ParseError) as exc:
+        _READERS[kind](name)
+    assert (exc.value.source, exc.value.line) == (name, line)
+    assert str(exc.value) == f"{name}:{line}: {message}"
+    assert main([*_VERBS[kind], name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (sio.parse_point, "01", "<point>:1: point syntax is prefix/cycle"),
+    (sio.parse_bipoint, "0|1", "<bipoint>:1: two-sided syntax is "
+                               "leftcycle|middle|rightcycle@phase"),
+    (sio.parse_bipoint, "0||1@x", "<bipoint>:1: bad phase 'x'"),
+], ids=["point-without-slash", "bipoint-without-three-parts",
+        "bipoint-bad-phase"])
+def test_point_syntax_errors(full2, parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(full2, text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("parse, name, text", [

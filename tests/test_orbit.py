@@ -664,3 +664,16 @@ def test_derived_pairs_are_not_checked_again(std_oe, tmp_path, monkeypatch,
     rep = verify_coe(std_oe, derive_cocycle_pair(twice),
                      derive_cocycle_pair(std_oe.inverse()))
     assert rep.verified and calls == [std_oe.forward]
+
+
+@pytest.mark.parametrize("k, l, message", [
+    ({"0": 0, "1": 0}, 1, "k and l must share a depth"),
+    (-1, 0, "cocycle values must be non-negative"),
+], ids=["depths-differ", "negative-value"])
+def test_cocycle_pair_rejects_bad_parts(full2, k, l, message):
+    def fn(spec):
+        return (CylinderFunction.from_values(full2, spec) if type(spec) is dict
+                else CylinderFunction.constant(full2, spec))
+    with pytest.raises(ValueError) as exc:
+        CocyclePair(fn(k), fn(l))
+    assert str(exc.value) == message

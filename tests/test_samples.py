@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import sftkit
 from sftkit.errors import InvalidCode
 from sftkit.points import EvPerPoint
 from sftkit.presentation import Presentation, full_shift, golden_mean
@@ -50,3 +54,24 @@ def test_random_prefix_exchange_on_loop_into_loop(loop_into_loop):
         points = [EvPerPoint.make(P, *P.complete_to_cycle_word(w))
                   for w in P.language(4)]
         assert any(h(x) != x for x in points)
+
+
+def test_random_cylinder_function_does_not_depend_on_the_hash_seed():
+    """Words are drawn in P.words(d) order, not in the order of a set of
+    str-labelled words, which moves with PYTHONHASHSEED."""
+    code = ("import random\n"
+            "from sftkit.presentation import Presentation\n"
+            "from sftkit.samples import random_cylinder_function\n"
+            "abc = 'abc'\n"
+            "P = Presentation(abc, [(u, v) for u in abc for v in abc])\n"
+            "f = random_cylinder_function(random.Random(5), P, max_depth=2)\n"
+            "print(f.depth, sorted(f.table.items()))\n")
+    src = os.path.dirname(os.path.dirname(sftkit.__file__))
+    tables = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        tables.add(proc.stdout)
+    assert len(tables) == 1
+    assert tables.pop().startswith("2 ")

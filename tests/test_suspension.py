@@ -687,3 +687,37 @@ def test_claims_match_the_battery_without_memos(full2, full3, gm,
     assert kinds[True] and kinds[False]
     assert verdicts["pass"] and verdicts["fail"] and verdicts["error"], \
         verdicts
+
+
+@pytest.mark.parametrize("part, value, message", [
+    ("n", None, "n lives on the wrong presentation"),
+    ("k", -1, "k must be non-negative"),
+    ("n", 2, "l - k = n + b - b o sigma fails"),
+    ("n_prime", 2, "primed decomposition identity fails"),
+    ("b", -1, "need b >= 0 and b >= l - n pointwise"),
+    ("b_prime", -1, "need b' >= 0 and b' >= l' - n' pointwise"),
+], ids=["wrong-presentation", "negative-cocycle", "decomposition",
+        "primed-decomposition", "negative-b", "negative-b-prime"])
+def test_flow_map_data_rejects_inconsistent_parts(full2, gm, part, value,
+                                                  message):
+    """The identity bundle with one part replaced: a part on another
+    presentation, a negative cocycle, a broken decomposition l - k =
+    n + b - b o sigma on either side, or a negative transfer (a constant
+    shift of b keeps the decomposition) is a ValueError."""
+    zero = CylinderFunction.constant(full2, 0)
+    one = CylinderFunction.constant(full2, 1)
+    parts = dict(k=zero, l=one, k_prime=zero, l_prime=one, b=zero,
+                 b_prime=zero, n=one, n_prime=one)
+    parts[part] = (CylinderFunction.constant(gm, 1) if value is None
+                   else CylinderFunction.constant(full2, value))
+    with pytest.raises(ValueError) as exc:
+        FlowMapData(identity_map(full2), **parts)
+    assert str(exc.value) == message
+
+
+def test_round_trip_shift_beyond_the_bound_is_not_found(full2):
+    x = BiPoint.make(full2, (0,), (1,), (0,), 0)
+    w = x.shift(5)
+    assert find_round_trip_shift(x, w, 5) == 5
+    assert find_round_trip_shift(x, w, 4) is None
+    assert find_round_trip_shift(w, x, 4) is None

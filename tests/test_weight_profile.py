@@ -192,3 +192,14 @@ def test_profile_window_outside_table_is_inadmissible(full2):
     # 11 is a word of the full shift but not of the golden mean
     with pytest.raises(InadmissibleWord):
         WeightProfile(n, BiPoint.periodic(full2, (1,)))
+
+
+def test_j_index_from_far_left_of_a_weightless_left_cycle(full2):
+    """n vanishes on the left cycle 0^inf, so the first weighted index
+    after a time left of the stored range lies in the middle."""
+    n = CylinderFunction.from_values(full2, {"0": 0, "1": 1})
+    bx = BiPoint.make(full2, (0,), (1, 0), (1,), 0)
+    prof = WeightProfile(n, bx)
+    for t in (Fraction(-41, 4), -20, prof.lo - 2):
+        assert math.floor(t) + 1 < prof.lo
+        assert prof.j_index(t) == ref_j_index(n, bx, t) == 0
