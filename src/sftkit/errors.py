@@ -124,7 +124,3 @@ class ParseError(SftError):
 
 class NeedDepth(Exception):
     """Internal signal: a symbolic computation needs a longer cylinder word."""
-
-    def __init__(self, needed):
-        self.needed = needed
-        super().__init__(f"need cylinder of length >= {needed}")

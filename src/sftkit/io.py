@@ -17,8 +17,13 @@ Cylinder functions::
     01 3
 
 Words are vertex indices, written as plain digit strings when every index
-is below ten and dot-separated otherwise.  Points read  prefix/cycle ;
-two-sided points  leftcycle|middle|rightcycle@phase .
+is below ten and dot-separated otherwise; a word of one index of ten or
+more ends in a dot, so that "10." is (10,) and "10" is (1, 0).  The empty
+word is "-".  Points read  prefix/cycle ; two-sided points
+leftcycle|middle|rightcycle@phase .
+
+Files are read as UTF-8; a byte that does not decode is a ParseError at
+its line.
 """
 
 from __future__ import annotations
@@ -86,10 +91,10 @@ def format_presentation(P: Presentation) -> str:
 
 
 def format_word(P: Presentation, w: Word) -> str:
-    idx = [P.index(s) for s in w]
-    if all(i < 10 for i in idx):
-        return "".join(map(str, idx)) if idx else "-"
-    return ".".join(map(str, idx)) if idx else "-"
+    idx = [str(P.index(s)) for s in w]
+    if all(len(i) == 1 for i in idx):
+        return "".join(idx) or "-"
+    return ".".join(idx) + ("." if len(idx) == 1 else "")
 
 
 def parse_word(P: Presentation, text: str, source="<word>", ln=1) -> Word:
@@ -97,7 +102,7 @@ def parse_word(P: Presentation, text: str, source="<word>", ln=1) -> Word:
     if text in ("", "-"):
         return ()
     if "." in text:
-        parts = text.split(".")
+        parts = text.removesuffix(".").split(".")
     else:
         parts = list(text)
     try:
@@ -181,14 +186,24 @@ def parse_bipoint(P: Presentation, text: str, source="<bipoint>") -> BiPoint:
     return BiPoint.make(P, lc, mid, rc, ph)
 
 
+def _read_text(path: str) -> str:
+    """The file's text as UTF-8; a byte that does not decode is a
+    ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(path, data.count(b"\n", 0, e.start) + 1,
+                         f"not UTF-8: byte 0x{data[e.start]:02x}")
+
+
 def read_presentation(path: str) -> Presentation:
-    with open(path) as fh:
-        return parse_presentation(fh.read(), path)
+    return parse_presentation(_read_text(path), path)
 
 
 def read_cylinder_function(path: str, P: Presentation) -> CylinderFunction:
-    with open(path) as fh:
-        return parse_cylinder_function(fh.read(), P, path)
+    return parse_cylinder_function(_read_text(path), P, path)
 
 
 def read_orbit_equivalence(path: str) -> OrbitEquivalence:
@@ -227,8 +242,7 @@ def read_orbit_equivalence(path: str) -> OrbitEquivalence:
 def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
     """read_orbit_equivalence with the real paths of the files whose
     compose lines are being read, outermost first."""
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     base = os.path.dirname(os.path.abspath(path))
     lines = list(_lines(text, path))
     if not lines or lines[0][1] != "oe v1":

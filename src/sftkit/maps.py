@@ -5,10 +5,10 @@ Three generators are supported and freely composed:
 * prefix exchanges: a complete prefix code (u_i) of a vertex shift is
   mapped onto a complete prefix code (v_i) of the same shift,
   h(u_i t) = v_i t.
-* SlidingBlockConjugacy: a block map with anticipation and no memory whose
-  inverse is again a block map; these are exactly the one-sided
-  conjugacies between vertex shifts.  relabel_map is the 1-block case, a
-  graph isomorphism.
+* SlidingBlockConjugacy: a block map with no memory, whose window reads
+  forward, and whose inverse is again a block map; these are exactly the
+  one-sided conjugacies between vertex shifts.  relabel_map is the
+  1-block case, a graph isomorphism.
 * compositions of the above.
 
 prefix_exchange with a vertex map pi (a graph isomorphism from the domain
@@ -27,8 +27,9 @@ block maps (block maps commute with the shift, which is what keeps this
 calculus closed).  Over Z(w) the chain is held as the one word T(w),
 computed stage by stage, so a symbol of the image is read off W or T(w),
 or is known to need a longer cylinder.  The symbolic form is what makes
-cocycle derivation and verification exact, and each stage's action is
-defined once, by its step in image_form.
+cocycle derivation and verification exact.  Each stage kind defines its
+action once, by its `step` on a symbolic image and its `needs`, which
+image_form and PointMap.prefix_needed fold without asking for the kind.
 """
 
 from __future__ import annotations
@@ -64,15 +65,22 @@ class BlockStage:
                 raise InvalidCode(
                     f"image of {w!r} breaks admissibility: {a!r}->{b!r}")
 
-    @property
-    def anticipation(self):
-        return self.window - 1
-
     def apply_word(self, w: Word) -> Word:
         if len(w) < self.window:
             return ()
         return tuple(self.table[w[i:i + self.window]]
                      for i in range(len(w) - self.window + 1))
+
+    def step(self, S: "SymImage") -> "SymImage":
+        """S's image: the prefix and the window - 1 symbols after it, and
+        the tail, each through the window."""
+        W = S.prefix
+        ext = W + tuple(S.symbol(len(W) + t) for t in range(self.window - 1))
+        return SymImage(self.apply_word(ext), self.apply_word(S.tail), S.shift)
+
+    def needs(self, m: int) -> int:
+        """Input symbols that determine m output symbols."""
+        return m + self.window - 1
 
     def __repr__(self):
         return f"BlockStage(window={self.window})"
@@ -110,7 +118,6 @@ class PrefixExchangeStage:
                 raise InvalidCode("empty word can only pair with empty word")
             if u and P.follower_set(u[-1]) != P.follower_set(v[-1]):
                 raise InvalidCode(f"follower mismatch on {u!r} -> {v!r}")
-        self.max_code_len = max(map(len, self.pairing), default=0)
         self._lengths = sorted({len(u) for u in self.pairing})
 
     def lookup(self, sym):
@@ -127,6 +134,18 @@ class PrefixExchangeStage:
             if w in self.pairing:
                 return w
         raise InvalidCode("no code word matches; code is not complete")
+
+    def step(self, S: "SymImage") -> "SymImage":
+        """S's image: its code word u becomes u's partner, and a u longer
+        than the prefix shifts the tail."""
+        u = self.lookup(S.symbol)
+        W = S.prefix
+        return SymImage(self.pairing[u] + W[len(u):], S.tail,
+                        S.shift + max(len(u) - len(W), 0))
+
+    def needs(self, m: int) -> int:
+        """Input symbols that determine m output symbols."""
+        return m + self._lengths[-1]
 
     def __repr__(self):
         pairs = ",".join(f"{''.join(map(str, u))}~{''.join(map(str, v))}"
@@ -172,7 +191,7 @@ class PointMap:
         p's first c + prefix_needed(0) symbols is determined: h(p) is S.prefix
         then T(p)[S.shift:].  The block chain T has no memory, so T(p) is
         periodic from n with period |cycle|, and S.tail[:c] holds its first c
-        symbols (prefix_needed(0) covers T's lookahead).  A tail that is not a
+        symbols (prefix_needed(0) covers T's windows).  A tail that is not a
         block-map image needs sync points in place of n and c."""
         if p.presentation is not self.domain and p.presentation != self.domain:
             raise InadmissibleWord(
@@ -181,7 +200,7 @@ class PointMap:
         n, c = len(p.prefix), len(p.prefix) + len(p.cycle)
         S = image_form(self.stages, p.symbols(c + self.prefix_needed(0)))
         if len(S.tail) < c:
-            raise NeedDepth(c + S.lookahead)
+            raise NeedDepth
         pre, cyc = S.prefix + S.tail[min(S.shift, n):n], S.tail[n:c]
         r = max(S.shift - n, 0) % (c - n)
         return EvPerPoint._canonical(self.codomain, pre, cyc[r:] + cyc[:r])
@@ -199,13 +218,9 @@ class PointMap:
 
     def prefix_needed(self, m: int) -> int:
         """Input symbols sufficient to determine m output symbols."""
-        need = m
         for st in reversed(self.stages):
-            if isinstance(st, BlockStage):
-                need += st.anticipation
-            else:
-                need += st.max_code_len
-        return need
+            m = st.needs(m)
+        return m
 
     def __repr__(self):
         return " . ".join(repr(s) for s in reversed(self.stages)) or "id"
@@ -269,16 +284,14 @@ class SymImage:
     """For all x in Z(base): the represented point is  W . T(sigma^m x).
 
     T is the chain of block maps image_form met (block maps commute with
-    the shift), `tail` is the word T(base) and `lookahead` the summed
-    anticipation of T, so T(x)[j] is tail[j] for every x in Z(base) when
-    j < len(tail), and needs a cylinder of length j + 1 + lookahead
+    the shift) and `tail` is the word T(base), so T(x)[j] is tail[j] for
+    every x in Z(base) when j < len(tail), and needs a longer cylinder
     otherwise.
     """
 
     prefix: Word
     tail: Word
     shift: int
-    lookahead: int
 
     @property
     def offset(self) -> int:
@@ -286,8 +299,7 @@ class SymImage:
 
     def shifted(self, k: int) -> "SymImage":
         cut = min(k, len(self.prefix))
-        return SymImage(self.prefix[cut:], self.tail, self.shift + k - cut,
-                        self.lookahead)
+        return SymImage(self.prefix[cut:], self.tail, self.shift + k - cut)
 
     def symbol(self, i: int):
         """Symbol i of the represented point, for all x in Z(base), or
@@ -297,28 +309,17 @@ class SymImage:
         j = self.shift + i - len(self.prefix)
         if j < len(self.tail):
             return self.tail[j]
-        raise NeedDepth(j + 1 + self.lookahead)
+        raise NeedDepth
 
 
 def image_form(stages, base: Word) -> SymImage:
-    """Symbolic image of every x in Z(base) under the stage pipeline.
-
-    Raises NeedDepth(n) when Z(base) does not determine the image shape;
-    retry with cylinders of length n.
-    """
-    W, tail, m, ahead = (), base, 0, 0
+    """Symbolic image of every x in Z(base) under the stage pipeline: each
+    stage's step in turn.  Raises NeedDepth when Z(base) does not determine
+    the image shape."""
+    S = SymImage((), base, 0)
     for st in stages:
-        S = SymImage(W, tail, m, ahead)
-        if isinstance(st, BlockStage):
-            a = st.anticipation
-            W = st.apply_word(W + tuple(S.symbol(len(W) + t) for t in range(a)))
-            tail = st.apply_word(tail)
-            ahead += a
-        else:
-            u = st.lookup(S.symbol)
-            m += max(len(u) - len(W), 0)
-            W = st.pairing[u] + W[len(u):]
-    return SymImage(W, tail, m, ahead)
+        S = st.step(S)
+    return S
 
 
 def _cocycle_sides(stages, base: Word):
@@ -328,11 +329,8 @@ def _cocycle_sides(stages, base: Word):
     one, so the image of sigma(x) reads x's tail one symbol further on.
     """
     S_x = image_form(stages, base)
-    try:
-        S = image_form(stages, base[1:])
-    except NeedDepth as e:
-        raise NeedDepth(e.needed + 1)
-    return S_x, SymImage(S.prefix, S_x.tail, S.shift + 1, S.lookahead)
+    S = image_form(stages, base[1:])
+    return S_x, SymImage(S.prefix, S_x.tail, S.shift + 1)
 
 
 def _mismatches(A: SymImage, B: SymImage):
@@ -353,7 +351,7 @@ def minimal_cocycle_on_cylinder(stages, base: Word):
     propagates when Z(base) is too coarse.
     """
     if len(base) < 1:
-        raise NeedDepth(1)
+        raise NeedDepth
     S_x, S_sx = _cocycle_sides(stages, base)
     delta = S_x.offset - S_sx.offset
     k0 = max(0, -delta)

@@ -100,6 +100,25 @@ class COEReport:
         }
 
 
+def _resolve(P: Presentation, roots, bound, fn, stages, *args):
+    """(w, fn(stages, w, *args)) for each cylinder w that resolves, found
+    by refining the roots depth first, the last root first, one symbol
+    each time fn raises NeedDepth.  A cylinder of length >= bound that
+    still raises is a broken proof of the bound: VerificationFailed."""
+    work = list(roots)
+    while work:
+        w = work.pop()
+        try:
+            result = fn(stages, w, *args)
+        except NeedDepth:
+            if len(w) >= bound:
+                raise VerificationFailed(f"cylinder {w!r} does not resolve "
+                                         f"at the bound {bound}")
+            work.extend(P.extensions(w))
+            continue
+        yield w, result
+
+
 def derive_cocycle_pair(h: OrbitEquivalence) -> CocyclePair:
     """Per-cylinder minimal (k, l) for the forward map, as cylinder
     functions of one uniform depth.
@@ -109,39 +128,31 @@ def derive_cocycle_pair(h: OrbitEquivalence) -> CocyclePair:
     cylinder is then constant on all of its refinements.  Each resolution
     proves the identity there, so the pair is proven for h.forward.
 
-    Every cylinder of length B = h.forward.prefix_needed(1) resolves, B
-    being 1 plus the stages' reaches (anticipation for a block stage,
-    max_code_len for an exchange).  (i) At each stage image_form reads
-    T(x) only below index m + reach, with m at most the exchange reaches
-    before it, and T(x)[j] needs j + 1 + lookahead symbols: the image of x
-    is determined once |w| >= prefix_needed(0).  (ii) _cocycle_sides
-    builds the image of sigma(x) from w[1:], one symbol more.  (iii)
-    _mismatches reads one side's tail only where the other side's prefix
-    still stands, below that side's shift, which image_form resolved.  A
-    cylinder asking for more than B is a broken proof: VerificationFailed.
+    Every cylinder of length B = h.forward.prefix_needed(1), the stages'
+    needs folded over 1, resolves.  (i) A stage's step reads the tail T(x)
+    only below index m + needs(0), where the shift m is at most the sum of
+    needs(0) over the exchanges before it, and T(x)[j] is fixed on Z(w)
+    once |w| reaches the needs of T's block stages folded over j + 1.
+    Both fit in the fold over all stages: the image of x is determined
+    once |w| >= prefix_needed(0).  (ii) _cocycle_sides builds the image of
+    sigma(x) from w[1:], one symbol more.  (iii) _mismatches reads one
+    side's tail only where the other side's prefix still stands, below
+    that side's shift, which image_form resolved.  Every unresolved branch
+    is refined down to length B, and one still unresolved there is a
+    broken proof: VerificationFailed.
     """
     P = h.domain
-    stages = h.forward.stages
-    bound = h.forward.prefix_needed(1)
-    resolved = {}
-    work = P.words(1)
-    while work:
-        w = work.pop()
-        try:
-            resolved[w] = minimal_cocycle_on_cylinder(stages, w)
-        except NeedDepth as e:
-            if e.needed > bound:
-                raise VerificationFailed(
-                    f"cylinder {w!r} needs depth {e.needed}, past the "
-                    f"bound {bound} of the map's stages")
-            work.extend(P.extensions(w))
+    resolved = dict(_resolve(P, P.words(1), h.forward.prefix_needed(1),
+                             minimal_cocycle_on_cylinder, h.forward.stages))
     depth = max(len(w) for w in resolved)
-    ktab, ltab = {}, {}
-    for w in P.language(depth):
-        govern = next(w[:i] for i in range(1, depth + 1) if w[:i] in resolved)
-        ktab[w], ltab[w] = resolved[govern]
-    pair = CocyclePair(CylinderFunction(P, depth, ktab),
-                       CylinderFunction(P, depth, ltab))
+    k, l = [], []
+    for w in P.words(depth):
+        kw, lw = resolved[next(w[:i] for i in range(1, depth + 1)
+                               if w[:i] in resolved)]
+        k.append(kw)
+        l.append(lw)
+    pair = CocyclePair(CylinderFunction.on_words(P, depth, k),
+                       CylinderFunction.on_words(P, depth, l))
     object.__setattr__(pair, "_proven_for", h.forward)
     return pair
 
@@ -153,26 +164,18 @@ def _verify_pair_on(P: Presentation, pm: PointMap, pair: CocyclePair):
     Cylinders are refined while the comparison needs more symbols; the
     pair's values stay those of the governing cylinder.  The comparison
     reads only symbols that minimal_cocycle_on_cylinder reads, so the
-    refinement ends by the depth of the pair derived for pm.  When only
-    one walk leaves w[-1], Z(w) is one point, which settles it.
+    refinement ends by the depth of the pair derived for pm, a bound at
+    least as tight as pm's stages give.  When only one walk leaves w[-1],
+    Z(w) is one point, which settles it.
     """
     failures = []
     d = pair.depth
     bound = max(d, derive_cocycle_pair(OrbitEquivalence(pm)).depth)
     for w0 in P.words(max(d, 1)):
         k, l = pair.k.value_on(w0), pair.l.value_on(w0)
-        work = [w0]
-        while work:
-            w = work.pop()
-            try:
-                ok, reason = verify_cocycle_on_cylinder(pm.stages, w, k, l)
-            except NeedDepth as e:
-                if e.needed > bound:
-                    raise VerificationFailed(
-                        f"cylinder {w!r} needs depth {e.needed}, past the "
-                        f"derived depth {bound}")
-                work.extend(P.extensions(w))
-                continue
+        for w, (ok, reason) in _resolve(P, [w0], bound,
+                                        verify_cocycle_on_cylinder,
+                                        pm.stages, k, l):
             if not ok:
                 x = _counterexample(P, pm, w, k, l)
                 if x is not None or not P.is_forced(w[-1]):

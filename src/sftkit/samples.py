@@ -88,12 +88,17 @@ def random_bipoints(rng: random.Random, P: Presentation, count, max_cycle=4,
     """`count` random two-sided points, drawn one after another exactly as
     random_bipoint draws them; P's cycles are listed once for all of them.
 
-    The right cycle is drawn among the cycles reachable from the left one
-    and the detour only through vertices that reach back to it, so the draw
-    works on reducible presentations too; on irreducible ones every
-    candidate qualifies and the draws are the unfiltered ones.
+    The cycles are those of length <= max_cycle, or of the least length
+    that has one when there are none.  The right cycle is drawn among the
+    cycles reachable from the left one and the detour only through
+    vertices that reach back to it, so the draw works on reducible
+    presentations too; on irreducible ones every candidate qualifies and
+    the draws are the unfiltered ones.
     """
     cycles = P.cycles(max_cycle)
+    while not cycles:  # P has no sink, so some cycle is at most |V| long
+        max_cycle += 1
+        cycles = P.cycles(max_cycle)
     out = []
     for _ in range(count):
         lc = rng.choice(cycles)

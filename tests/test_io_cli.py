@@ -685,3 +685,117 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sftkit" in proc.stdout
+
+
+def _rings(*sizes):
+    """The sft text of one cycle of each size, each joined to the next by
+    one arc."""
+    edges, start = [], 0
+    for n in sizes:
+        if start:
+            edges.append((start - 1, start))
+        edges += [(start + i, start + (i + 1) % n) for i in range(n)]
+        start += n
+    return f"sft v1\nvertices {start}\n" + "".join(
+        f"edge {a} {b}\n" for a, b in edges)
+
+
+@pytest.mark.parametrize("sft", [_rings(5), _rings(5, 6)],
+                         ids=["5-cycle", "reducible-5-and-6-cycles"])
+@pytest.mark.parametrize("verb", ["pipeline", "verify-claims"])
+def test_cli_claims_on_a_shift_with_no_short_cycle(tmp_path, capsys,
+                                                   monkeypatch, sft, verb):
+    """The sample points need cycles of the least length the graph has,
+    not of a length the sampler fixes: the identity on a shift whose
+    shortest cycle has length 5 is checked, and passes."""
+    monkeypatch.chdir(tmp_path)
+    n = int(sft.split()[3])
+    (tmp_path / "c.sft").write_text(sft)
+    (tmp_path / "id.oe").write_text(
+        "oe v1\ndomain c.sft\ncodomain c.sft\n"
+        + "".join(f"map {i}{'.' * (i >= 10)} -> {i}{'.' * (i >= 10)}\n"
+                  for i in range(n)))
+    assert main([verb, "id.oe", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert _claim_counts(verb, payload) == (0, 0)
+    if verb == "pipeline":
+        assert payload["claims_checked"] > 0
+        if n == 5:
+            assert payload["claims_checked"] == 152
+    else:
+        assert payload["claims"]
+
+
+def test_words_of_vertices_ten_and_up_round_trip():
+    """A one-symbol word of index >= 10 ends in a dot, so (10,) and (1, 0)
+    print apart; every other word prints as before."""
+    P = full_shift(12)
+    assert sio.format_word(P, (10,)) == "10."
+    assert sio.format_word(P, (1, 0)) == "10"
+    assert sio.format_word(P, (1, 10)) == "1.10"
+    assert sio.format_word(P, (9,)) == "9"
+    assert sio.format_word(P, ()) == "-"
+    assert sio.parse_word(P, "10.") == (10,)
+    assert sio.parse_word(P, "10") == (1, 0)
+    for m in (1, 2):
+        for w in P.words(m):
+            assert sio.parse_word(P, sio.format_word(P, w)) == w
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_fn_files_round_trip_on_twelve_vertices(tmp_path, capsys,
+                                                monkeypatch, depth):
+    P = full_shift(12)
+    f = CylinderFunction.on_words(
+        P, depth, [1 + len(w) + sum(w) % 3 for w in P.words(depth)])
+    text = sio.format_cylinder_function(P, f)
+    assert sio.parse_cylinder_function(text, P) == f
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f12.sft").write_text(sio.format_presentation(P))
+    (tmp_path / "g.fn").write_text(text)
+    assert main(["positive", "f12.sft", "--f", "g.fn"]) == 0
+    assert "certificate positive" in capsys.readouterr().out
+
+
+def test_oe_files_map_vertices_ten_and_up(tmp_path):
+    """An exchange of the one-symbol code words 10 and 11 on the full
+    12-shift is written and read back."""
+    P = full_shift(12)
+    pairing = {(i,): (i,) for i in range(10)}
+    pairing.update({(10,): (11,), (11,): (10,)})
+    h = sftkit.OrbitEquivalence(sftkit.prefix_exchange(P, pairing))
+    (tmp_path / "f12.sft").write_text(sio.format_presentation(P))
+    text = sio.format_orbit_equivalence(h, "f12.sft", "f12.sft")
+    assert "map 10. -> 11.\n" in text
+    (tmp_path / "x.oe").write_text(text)
+    again = sio.read_orbit_equivalence(str(tmp_path / "x.oe"))
+    x = EvPerPoint.make(P, (10, 3), (11,))
+    assert again(x) == h(x) == EvPerPoint.make(P, (11, 3), (11,))
+
+
+@pytest.mark.parametrize("files, name, line", [
+    ({"a.sft": b"sft v1\nvertices 2\nedge 0 0 \xff\n"}, "a.sft", 3),
+    ({"a.fn": b"fn depth=1\n\xff 1\n1 2\n"}, "a.fn", 2),
+    ({"a.oe": b"oe v1\ndomain full2.sft\n# caf\xe9\n"}, "a.oe", 3),
+    ({"a.oe": b"oe v1\ndomain bad.sft\ncodomain full2.sft\nmap 0 -> 0\n"
+              b"map 1 -> 1\n",
+      "bad.sft": b"sft v1\xff\nvertices 2\n"}, "bad.sft", 1),
+], ids=["sft", "fn", "oe", "oe-domain"])
+def test_input_files_that_are_not_utf8_are_parse_errors(
+        tree, capsys, monkeypatch, files, name, line):
+    """A byte that does not decode as UTF-8 is a ParseError at the file and
+    line that hold it, and the CLI exits 2, not with a traceback."""
+    monkeypatch.chdir(tree)
+    for path, data in files.items():
+        (tree / path).write_bytes(data)
+    first = next(iter(files))
+    kind = first.rsplit(".", 1)[1]
+    with pytest.raises(ParseError) as exc:
+        _READERS[kind](first)
+    # a domain file is named by its path relative to the .oe file
+    assert (os.path.basename(exc.value.source), exc.value.line) == (name, line)
+    assert main([*_VERBS[kind], first]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"{name}:{line}: not UTF-8: byte 0x" in captured.err

@@ -190,7 +190,7 @@ def test_verify_cocycle_detects_wrong_pair(full2, std_exchange):
 
 def test_identity_image_form():
     S = image_form((), word("01"))
-    assert (S.prefix, S.tail, S.shift, S.lookahead) == ((), word("01"), 0, 0)
+    assert (S.prefix, S.tail, S.shift) == ((), word("01"), 0)
 
 
 def _lookup_by_scan(st, sym):
@@ -205,8 +205,8 @@ def _lookup_by_scan(st, sym):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except NeedDepth as e:
-        return ("NeedDepth", e.needed)
+    except NeedDepth:
+        return ("NeedDepth",)
 
 
 def _random_maps():
@@ -230,11 +230,11 @@ def test_lookup_matches_the_linear_scan():
             if not isinstance(st, PrefixExchangeStage):
                 continue
             P = st.domain
-            for w in P.language(st.max_code_len + 1):
+            for w in P.language(st.needs(1)):
                 for known in range(len(w) + 1):
                     def sym(i):
                         if i >= known:
-                            raise NeedDepth(i + 1)
+                            raise NeedDepth
                         return w[i]
                     assert _outcome(st.lookup, sym) == \
                         _outcome(_lookup_by_scan, st, sym)
@@ -294,14 +294,14 @@ class ChainImage:
 
 
 def _chain_ant(chain) -> int:
-    return sum(st.anticipation for st in chain)
+    return sum(st.window - 1 for st in chain)
 
 
 def _chain_symbol(chain, base: Word, idx: int):
     """chain(x)[idx] for x in Z(base), or NeedDepth."""
     need = idx + 1 + _chain_ant(chain)
     if len(base) < need:
-        raise NeedDepth(need)
+        raise NeedDepth
     w = base
     for st in chain:
         w = st.apply_word(w)
@@ -311,13 +311,12 @@ def _chain_symbol(chain, base: Word, idx: int):
 def chain_image_form(stages, base: Word, P: Presentation) -> ChainImage:
     """Symbolic image of every x in Z(base) under the stage pipeline.
 
-    Raises NeedDepth(n) when Z(base) does not determine the image shape;
-    retry with cylinders of length n.
+    Raises NeedDepth when Z(base) does not determine the image shape.
     """
     W, chain, m = (), (), 0
     for st in stages:
         if isinstance(st, BlockStage):
-            a = st.anticipation
+            a = st.window - 1
             ext = W + tuple(_chain_symbol(chain, base, m + t) for t in range(a))
             W = tuple(st.table[ext[i:i + st.window]] for i in range(len(W)))
             chain = chain + (st,)
@@ -358,10 +357,7 @@ def sides_agree(S1: ChainImage, S2: ChainImage, base: Word):
 def _chain_cocycle_sides(stages, base: Word, P: Presentation):
     """The symbolic images of x and of sigma(x), both over x in Z(base)."""
     S_x = chain_image_form(stages, base, P)
-    try:
-        S_sx = chain_image_form(stages, base[1:], P).rebased(1)
-    except NeedDepth as e:
-        raise NeedDepth(e.needed + 1)
+    S_sx = chain_image_form(stages, base[1:], P).rebased(1)
     return S_x, S_sx
 
 
@@ -373,7 +369,7 @@ def chain_minimal_cocycle(stages, base: Word, P: Presentation):
     propagates when Z(base) is too coarse.
     """
     if len(base) < 1:
-        raise NeedDepth(1)
+        raise NeedDepth
     S_x, S_sx = _chain_cocycle_sides(stages, base, P)
     delta = S_x.offset - S_sx.offset
     k0 = max(0, -delta)
@@ -419,8 +415,9 @@ def _oracle_maps():
 
 
 def test_tail_words_match_the_chain_reference():
-    """minimal and verify give the chain-based calculus's results, reasons
-    and NeedDepth amounts on every cylinder of length 1-3."""
+    """minimal and verify give the chain-based calculus's results and
+    reasons, and need a longer cylinder where it does, on every cylinder
+    of length 1-3."""
     seen = set()
     for pm in _oracle_maps():
         for n in (1, 2, 3):
@@ -465,7 +462,7 @@ def _raw_image(stage, p):
     nc = len(p.cycle)
     if isinstance(stage, BlockStage):
         k = len(p.prefix) + nc
-        img = stage.apply_word(p.symbols(k + 2 * nc + stage.anticipation))
+        img = stage.apply_word(p.symbols(k + 2 * nc + stage.window - 1))
     else:
         (u,) = [u for u in stage.pairing if p.starts_with(u)]
         v = stage.pairing[u]

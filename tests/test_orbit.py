@@ -627,7 +627,7 @@ def test_a_bound_below_the_need_is_a_broken_proof(full2, std_oe,
     h = _there_and_back(full2, 5)
     assert derive_cocycle_pair(h).depth == 6
     monkeypatch.setattr(PointMap, "prefix_needed", lambda self, m: 5)
-    with pytest.raises(VerificationFailed, match="needs depth 6, past the "
+    with pytest.raises(VerificationFailed, match="does not resolve at the "
                                                  "bound 5"):
         derive_cocycle_pair(h)
     monkeypatch.setattr(PointMap, "prefix_needed", lambda self, m: 1)

@@ -75,3 +75,17 @@ def test_random_cylinder_function_does_not_depend_on_the_hash_seed():
         tables.add(proc.stdout)
     assert len(tables) == 1
     assert tables.pop().startswith("2 ")
+
+
+def test_random_bipoints_without_a_cycle_of_length_four_or_less():
+    """With no cycle of length <= max_cycle the points are drawn on the
+    cycles of the least length that has one: a 5-cycle, and a reducible
+    graph of a 5-cycle with an arc into a 6-cycle."""
+    ring = Presentation(range(5), [(i, (i + 1) % 5) for i in range(5)])
+    two = Presentation(range(11), [(i, (i + 1) % 5) for i in range(5)]
+                       + [(4, 5)]
+                       + [(5 + i, 5 + (i + 1) % 6) for i in range(6)])
+    for P in (ring, two):
+        points = random_bipoints(random.Random(3), P, 40)
+        assert {len(c) for bx in points
+                for c in (bx.left_cycle, bx.right_cycle)} == {5}
