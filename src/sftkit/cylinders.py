@@ -2,8 +2,10 @@
 
 A CylinderFunction of depth d takes its value from the first d symbols of a
 point; the table is kept on admissible words of length max(d, 1) so that
-depth 0 (constants) still has concrete entries.  Binary operations refine
-both operands to the larger depth.
+depth 0 (constants) still has concrete entries.  f + g and f - g refine
+both operands to the larger depth.  An int operand c applies to each entry
+of f's own table, so f + c and f - c keep f's depth and words; an operand
+that is neither an int nor a CylinderFunction is a TypeError.
 
 The word set is proven once, at the public constructor.  Arithmetic results
 (refine, pullback, +, -, negation, constant) take their keys from P.words or
@@ -12,6 +14,8 @@ on_words, which pairs a list of values with the words of P.words.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import NotClosed, WordTooShort
 from .points import EvPerPoint
@@ -118,21 +122,27 @@ class CylinderFunction:
         return self - self.pullback()
 
     def _binary(self, other, op):
+        """op entry by entry: an int applies to each entry as it stands;
+        a CylinderFunction on the same presentation is refined with self
+        to the larger depth; any other operand is not handled."""
+        P = self.presentation
         if isinstance(other, int):
-            other = CylinderFunction.constant(self.presentation, other)
-        if other.presentation != self.presentation:
+            return CylinderFunction._of(P, self.depth, {
+                w: op(v, other) for w, v in self.table.items()})
+        if not isinstance(other, CylinderFunction):
+            return NotImplemented
+        if other.presentation != P:
             raise ValueError("operands live on different presentations")
         d = max(self.depth, other.depth)
-        a, b = self.refine(d), other.refine(d)
-        return CylinderFunction._of(
-            self.presentation, d,
-            {w: op(a.table[w], b.table[w]) for w in a.table})
+        a, b = self.refine(d).table, other.refine(d).table
+        return CylinderFunction._of(P, d, {w: op(v, b[w])
+                                           for w, v in a.items()})
 
     def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
+        return self._binary(other, operator.add)
 
     def __sub__(self, other):
-        return self._binary(other, lambda x, y: x - y)
+        return self._binary(other, operator.sub)
 
     def __neg__(self):
         return CylinderFunction._of(self.presentation, self.depth,

@@ -40,7 +40,10 @@ from .presentation import Presentation, Word
 
 
 def _lines(text, source):
-    for ln, raw in enumerate(text.splitlines(), 1):
+    """(line number, content) of each line that is not blank or a comment.
+    Lines end at "\n" only, as _read_text counts them; a "\r" before it
+    is stripped with the other surrounding whitespace."""
+    for ln, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield ln, line
@@ -105,10 +108,11 @@ def parse_word(P: Presentation, text: str, source="<word>", ln=1) -> Word:
         parts = text.removesuffix(".").split(".")
     else:
         parts = list(text)
-    try:
-        idx = [int(p) for p in parts]
-    except ValueError:
+    # only what format_word writes: int() would also take signs, "_",
+    # inner spaces and non-ASCII digits
+    if not all(p.isascii() and p.isdigit() for p in parts):
         raise ParseError(source, ln, f"bad word {text!r}")
+    idx = [int(p) for p in parts]
     if any(not (0 <= i < len(P.labels)) for i in idx):
         raise ParseError(source, ln, f"symbol out of range in {text!r}")
     return tuple(P.labels[i] for i in idx)

@@ -322,14 +322,36 @@ def image_form(stages, base: Word) -> SymImage:
     return S
 
 
-def _cocycle_sides(stages, base: Word):
+class Images(dict):
+    """The symbolic images of one stage pipeline, each computed once:
+    images[base] is image_form(stages, base), or None where that raised
+    NeedDepth.  A derivation keeps one for as long as it runs, so that
+    the image over w[1:], which _cocycle_sides reads for Z(w), is computed
+    once although it is also the image over a cylinder of its own."""
+
+    def __init__(self, stages):
+        super().__init__()
+        self.stages = stages
+
+    def __missing__(self, base: Word):
+        try:
+            S = image_form(self.stages, base)
+        except NeedDepth:
+            S = None
+        self[base] = S
+        return S
+
+
+def _cocycle_sides(images: Images, base: Word):
     """The symbolic images of x and of sigma(x), both over x in Z(base).
 
     T does not depend on the cylinder and T(sigma x) is T(x) shifted by
     one, so the image of sigma(x) reads x's tail one symbol further on.
     """
-    S_x = image_form(stages, base)
-    S = image_form(stages, base[1:])
+    S_x = images[base]
+    S = None if S_x is None else images[base[1:]]
+    if S is None:
+        raise NeedDepth
     return S_x, SymImage(S.prefix, S_x.tail, S.shift + 1)
 
 
@@ -343,8 +365,9 @@ def _mismatches(A: SymImage, B: SymImage):
             yield p, a, b
 
 
-def minimal_cocycle_on_cylinder(stages, base: Word):
-    """Least (k, l) with sigma^k(h(sigma x)) = sigma^l(h(x)) on Z(base).
+def minimal_cocycle_on_cylinder(images: Images, base: Word):
+    """Least (k, l) with sigma^k(h(sigma x)) = sigma^l(h(x)) on Z(base),
+    h the pipeline of images.
 
     The alignment of the two symbolic tails forces l - k; the least shift
     that clears every symbol mismatch gives minimality.  NeedDepth
@@ -352,7 +375,7 @@ def minimal_cocycle_on_cylinder(stages, base: Word):
     """
     if len(base) < 1:
         raise NeedDepth
-    S_x, S_sx = _cocycle_sides(stages, base)
+    S_x, S_sx = _cocycle_sides(images, base)
     delta = S_x.offset - S_sx.offset
     k0 = max(0, -delta)
     l0 = k0 + delta
@@ -361,13 +384,14 @@ def minimal_cocycle_on_cylinder(stages, base: Word):
     return k0 + c, l0 + c
 
 
-def verify_cocycle_on_cylinder(stages, base: Word, k: int, l: int):
-    """Check sigma^k(h(sigma x)) = sigma^l(h(x)) for all x in Z(base).
+def verify_cocycle_on_cylinder(images: Images, base: Word, k: int, l: int):
+    """Check sigma^k(h(sigma x)) = sigma^l(h(x)) for all x in Z(base), h
+    the pipeline of images.
 
     Returns (True, None) when the two sides coincide on Z(base), otherwise
     (False, reason).
     """
-    S_x, S_sx = _cocycle_sides(stages, base)
+    S_x, S_sx = _cocycle_sides(images, base)
     A, B = S_sx.shifted(k), S_x.shifted(l)
     if A.offset != B.offset:
         return False, f"misaligned tails ({A.offset} vs {B.offset})"

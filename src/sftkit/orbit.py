@@ -21,6 +21,7 @@ from .cohomology import (
 from .cylinders import CylinderFunction, orbit_sum
 from .errors import LeastPeriodViolation, NeedDepth, VerificationFailed
 from .maps import (
+    Images,
     PointMap,
     minimal_cocycle_on_cylinder,
     verify_cocycle_on_cylinder,
@@ -100,8 +101,8 @@ class COEReport:
         }
 
 
-def _resolve(P: Presentation, roots, bound, fn, stages, *args):
-    """(w, fn(stages, w, *args)) for each cylinder w that resolves, found
+def _resolve(P: Presentation, roots, bound, fn, images, *args):
+    """(w, fn(images, w, *args)) for each cylinder w that resolves, found
     by refining the roots depth first, the last root first, one symbol
     each time fn raises NeedDepth.  A cylinder of length >= bound that
     still raises is a broken proof of the bound: VerificationFailed."""
@@ -109,7 +110,7 @@ def _resolve(P: Presentation, roots, bound, fn, stages, *args):
     while work:
         w = work.pop()
         try:
-            result = fn(stages, w, *args)
+            result = fn(images, w, *args)
         except NeedDepth:
             if len(w) >= bound:
                 raise VerificationFailed(f"cylinder {w!r} does not resolve "
@@ -119,6 +120,26 @@ def _resolve(P: Presentation, roots, bound, fn, stages, *args):
         yield w, result
 
 
+def _derived_code(pm: PointMap, images: Images):
+    """{w: (k, l)} on the complete prefix code that the derivation for pm
+    resolves, its images read through `images`."""
+    P = pm.domain
+    return dict(_resolve(P, P.words(1), pm.prefix_needed(1),
+                         minimal_cocycle_on_cylinder, images))
+
+
+def _on_code(P: Presentation, code):
+    """The values of a complete prefix code {w: v} on the words of
+    P.words(d), d its longest word, in that order.  The code is expanded
+    level by level with P.extensions, which extends each word in the
+    order P.words does; a word below a code word carries its value."""
+    level = [(w, code.get(w)) for w in P.words(1)]
+    for _ in range(max(map(len, code)) - 1):
+        level = [(u, code.get(u) if v is None else v)
+                 for w, v in level for u in P.extensions(w)]
+    return [v for _, v in level]
+
+
 def derive_cocycle_pair(h: OrbitEquivalence) -> CocyclePair:
     """Per-cylinder minimal (k, l) for the forward map, as cylinder
     functions of one uniform depth.
@@ -126,7 +147,9 @@ def derive_cocycle_pair(h: OrbitEquivalence) -> CocyclePair:
     Cylinders are refined adaptively until the symbolic images of x and
     sigma(x) are both determined; the minimal valid pair on each resolved
     cylinder is then constant on all of its refinements.  Each resolution
-    proves the identity there, so the pair is proven for h.forward.
+    proves the identity there, so the pair is proven for h.forward.  The
+    resolved cylinders form a complete prefix code, which fills the tables
+    at its longest length by walking the code in P.words order.
 
     Every cylinder of length B = h.forward.prefix_needed(1), the stages'
     needs folded over 1, resolves.  (i) A stage's step reads the tail T(x)
@@ -140,19 +163,21 @@ def derive_cocycle_pair(h: OrbitEquivalence) -> CocyclePair:
     that side's shift, which image_form resolved.  Every unresolved branch
     is refined down to length B, and one still unresolved there is a
     broken proof: VerificationFailed.
+
+    Each image is computed once per derivation (maps.Images), and its
+    NeedDepth outcome too.  This leaves the proof as it is: the image over
+    Z(w), or the NeedDepth it raises, depends only on the stages and on w,
+    so the image that _cocycle_sides reads over w[1:] is the one the
+    cylinder w[1:] has, whichever cylinder asked for it first.
     """
     P = h.domain
-    resolved = dict(_resolve(P, P.words(1), h.forward.prefix_needed(1),
-                             minimal_cocycle_on_cylinder, h.forward.stages))
-    depth = max(len(w) for w in resolved)
-    k, l = [], []
-    for w in P.words(depth):
-        kw, lw = resolved[next(w[:i] for i in range(1, depth + 1)
-                               if w[:i] in resolved)]
-        k.append(kw)
-        l.append(lw)
-    pair = CocyclePair(CylinderFunction.on_words(P, depth, k),
-                       CylinderFunction.on_words(P, depth, l))
+    code = _derived_code(h.forward, Images(h.forward.stages))
+    depth = max(map(len, code))
+    values = _on_code(P, code)
+    pair = CocyclePair(CylinderFunction.on_words(P, depth,
+                                                 [k for k, _ in values]),
+                       CylinderFunction.on_words(P, depth,
+                                                 [l for _, l in values]))
     object.__setattr__(pair, "_proven_for", h.forward)
     return pair
 
@@ -165,17 +190,19 @@ def _verify_pair_on(P: Presentation, pm: PointMap, pair: CocyclePair):
     pair's values stay those of the governing cylinder.  The comparison
     reads only symbols that minimal_cocycle_on_cylinder reads, so the
     refinement ends by the depth of the pair derived for pm, a bound at
-    least as tight as pm's stages give.  When only one walk leaves w[-1],
-    Z(w) is one point, which settles it.
+    least as tight as pm's stages give.  The derivation and the walk read
+    one set of images.  When only one walk leaves w[-1], Z(w) is one
+    point, which settles it.
     """
     failures = []
     d = pair.depth
-    bound = max(d, derive_cocycle_pair(OrbitEquivalence(pm)).depth)
+    images = Images(pm.stages)
+    bound = max(d, *map(len, _derived_code(pm, images)))
     for w0 in P.words(max(d, 1)):
         k, l = pair.k.value_on(w0), pair.l.value_on(w0)
         for w, (ok, reason) in _resolve(P, [w0], bound,
                                         verify_cocycle_on_cylinder,
-                                        pm.stages, k, l):
+                                        images, k, l):
             if not ok:
                 x = _counterexample(P, pm, w, k, l)
                 if x is not None or not P.is_forced(w[-1]):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +179,35 @@ def test_arithmetic_results_pass_the_public_check(seed, df, dg, c):
         assert CylinderFunction(P, r.depth, r.table).table == r.table, name
         for w in P.words(r.width()):
             assert r.value_on(w) == ref(w), (name, w)
+
+
+@pytest.mark.parametrize("other", [Fraction(1, 2), 1.5, "a", None],
+                         ids=["Fraction", "float", "str", "None"])
+def test_inexact_operands_are_refused(gm, other):
+    """+ and - take an int or a CylinderFunction; anything else is not
+    handled, so Python raises TypeError."""
+    f = CylinderFunction.from_values(gm, {"0": 1, "1": 2})
+    with pytest.raises(TypeError):
+        f + other
+    with pytest.raises(TypeError):
+        f - other
+
+
+def test_an_int_operand_builds_no_table_of_its_own(gm, monkeypatch):
+    """f + c and f - c read f's table once: no constant table, no
+    refinement, and f's depth and word order are kept."""
+    f = CylinderFunction.from_values(gm, {"10": 5, "00": 1, "01": 2})
+
+    def refused(*args):
+        raise AssertionError("an int operand must not build a table")
+
+    monkeypatch.setattr(CylinderFunction, "constant", refused)
+    monkeypatch.setattr(CylinderFunction, "refine", refused)
+    for r, want in [(f + 3, [8, 4, 5]), (f - 1, [4, 0, 1]),
+                    (f + True, [6, 2, 3])]:
+        assert r.depth == 2
+        assert list(r.table) == list(f.table)
+        assert list(r.table.values()) == want
 
 
 def test_public_constructor_still_checks_the_word_set(gm):

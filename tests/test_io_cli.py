@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sftkit
-from sftkit import BiPoint, CylinderFunction, EvPerPoint, full_shift
+from sftkit import (
+    BiPoint,
+    CylinderFunction,
+    EvPerPoint,
+    full_shift,
+    golden_mean,
+)
 from sftkit.cli import _json_text, main
 from sftkit.errors import ParseError
 from sftkit import io as sio
@@ -737,9 +743,39 @@ def test_words_of_vertices_ten_and_up_round_trip():
     assert sio.format_word(P, ()) == "-"
     assert sio.parse_word(P, "10.") == (10,)
     assert sio.parse_word(P, "10") == (1, 0)
-    for m in (1, 2):
+    assert sio.parse_word(P, "-") == ()
+    for m in (1, 2, 3):
         for w in P.words(m):
             assert sio.parse_word(P, sio.format_word(P, w)) == w
+
+
+@pytest.mark.parametrize("text", ["+1.-0", "\u0661\u0662", "1. 2", "1_0."],
+                         ids=["signs", "arabic-indic", "inner-space",
+                              "underscore"])
+def test_words_take_ascii_digits_only(text):
+    """parse_word reads what format_word writes; int() would also take
+    each of these, which format_word never writes."""
+    with pytest.raises(ParseError) as exc:
+        sio.parse_word(full_shift(12), text, "w.txt", 4)
+    assert (exc.value.source, exc.value.line) == ("w.txt", 4)
+
+
+def test_lines_end_at_newline_only():
+    """A form feed, or any other break of str.splitlines, inside a line
+    does not start a new one, so line numbers count "\n" as _read_text
+    does; "\r\n" files still read."""
+    edges = "edge 0 0\nedge 0 1\nedge 1 0\n"
+    for brk in ("\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029"):
+        with pytest.raises(ParseError) as exc:
+            sio.parse_presentation(f"sft v1\nvertices 2{brk}edge 0 0\n"
+                                   + edges)
+        assert exc.value.line == 2, repr(brk)
+        # what follows the break is still part of the comment
+        commented = f"sft v1\nvertices 2\n{edges}# note{brk}edge 1 1\n"
+        assert sio.parse_presentation(commented) == golden_mean(), repr(brk)
+    crlf = ("sft v1\nvertices 2\n" + edges).replace("\n", "\r\n")
+    assert sio.parse_presentation(crlf) == golden_mean()
 
 
 @pytest.mark.parametrize("depth", [1, 2])

@@ -17,6 +17,7 @@ from sftkit import (
 from sftkit.errors import InadmissibleWord, InvalidCode, NeedDepth
 from sftkit.maps import (
     BlockStage,
+    Images,
     PointMap,
     PrefixExchangeStage,
     image_form,
@@ -173,18 +174,18 @@ def test_double_inverse_holds_the_same_stages(full2, gm, std_exchange):
 
 
 def test_minimal_cocycles_match_hand_values(full2, std_exchange):
-    stages = std_exchange.stages
-    assert minimal_cocycle_on_cylinder(stages, word("00")) == (1, 2)
-    assert minimal_cocycle_on_cylinder(stages, word("010")) == (0, 3)
-    assert minimal_cocycle_on_cylinder(stages, word("10")) == (1, 0)
-    assert minimal_cocycle_on_cylinder(stages, word("111")) == (0, 1)
+    images = Images(std_exchange.stages)
+    assert minimal_cocycle_on_cylinder(images, word("00")) == (1, 2)
+    assert minimal_cocycle_on_cylinder(images, word("010")) == (0, 3)
+    assert minimal_cocycle_on_cylinder(images, word("10")) == (1, 0)
+    assert minimal_cocycle_on_cylinder(images, word("111")) == (0, 1)
 
 
 def test_verify_cocycle_detects_wrong_pair(full2, std_exchange):
-    stages = std_exchange.stages
-    ok, _ = verify_cocycle_on_cylinder(stages, word("111"), 0, 1)
+    images = Images(std_exchange.stages)
+    ok, _ = verify_cocycle_on_cylinder(images, word("111"), 0, 1)
     assert ok
-    bad, reason = verify_cocycle_on_cylinder(stages, word("111"), 0, 2)
+    bad, reason = verify_cocycle_on_cylinder(images, word("111"), 0, 2)
     assert not bad and reason
 
 
@@ -417,19 +418,20 @@ def _oracle_maps():
 def test_tail_words_match_the_chain_reference():
     """minimal and verify give the chain-based calculus's results and
     reasons, and need a longer cylinder where it does, on every cylinder
-    of length 1-3."""
+    of length 1-3.  Each map's images are read through one memo."""
     seen = set()
     for pm in _oracle_maps():
+        images = Images(pm.stages)
         for n in (1, 2, 3):
             for base in pm.domain.words(n):
-                got = _outcome(minimal_cocycle_on_cylinder, pm.stages, base)
+                got = _outcome(minimal_cocycle_on_cylinder, images, base)
                 assert got == _outcome(chain_minimal_cocycle, pm.stages,
                                        base, pm.domain)
                 seen.add(("minimal", got[0] == "NeedDepth"))
                 for k in range(4):
                     for l in range(4):
                         got = _outcome(verify_cocycle_on_cylinder,
-                                       pm.stages, base, k, l)
+                                       images, base, k, l)
                         assert got == _outcome(chain_verify_cocycle,
                                                pm.stages, base, pm.domain,
                                                k, l)

@@ -1,6 +1,8 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftkit import (
     CylinderFunction,
@@ -12,6 +14,7 @@ from sftkit import (
     coe_to_flow_pipeline,
     derive_cocycle_pair,
     full_shift,
+    golden_mean,
     identity_map,
     orbit_sum,
     prefix_exchange,
@@ -21,7 +24,9 @@ from sftkit import (
     word,
 )
 from sftkit.errors import InvalidCode, LeastPeriodViolation
-from sftkit.orbit import CocyclePair
+from sftkit.maps import Images
+from sftkit.orbit import CocyclePair, _on_code
+from sftkit.presentation import Presentation
 from sftkit.samples import (
     random_bipoint,
     random_bipoints,
@@ -568,8 +573,8 @@ def test_refinement_stops_at_the_derived_depth(full2, monkeypatch):
     rep = verify_coe(_there_and_back(full2, 12), pair, pair)
     assert rep.verified and rep.failures == []
     # a check that needs more than the derivation did is an internal fault
-    shallow = derive_cocycle_pair(OrbitEquivalence(identity_map(full2)))
-    monkeypatch.setattr(orbit_mod, "derive_cocycle_pair", lambda h: shallow)
+    shallow = orbit_mod._derived_code(identity_map(full2), Images(()))
+    monkeypatch.setattr(orbit_mod, "_derived_code", lambda pm, im: shallow)
     with pytest.raises(VerificationFailed):
         verify_coe(_there_and_back(full2, 9), pair, pair)
 
@@ -677,3 +682,122 @@ def test_cocycle_pair_rejects_bad_parts(full2, k, l, message):
     with pytest.raises(ValueError) as exc:
         CocyclePair(fn(k), fn(l))
     assert str(exc.value) == message
+
+
+def _certify_pool(seed=7):
+    """The maps of perfbench's certify workload at this seed: the standard
+    exchange, then prefix exchanges on the full 4-shift (50) and 3-shift
+    (10), compositions of two full-2-shift exchanges (10) and split
+    conjugacies on the full 3-shift and the golden mean (10 each),
+    interleaved by kind."""
+    rng = random.Random(seed)
+    std = OrbitEquivalence(prefix_exchange(full_shift(2), {
+        word("0"): word("10"), word("10"): word("0"),
+        word("11"): word("11")}))
+    make = {
+        "exchange-full4": lambda: random_prefix_exchange(rng, full_shift(4),
+                                                         2),
+        "exchange-full3": lambda: random_prefix_exchange(rng, full_shift(3),
+                                                         3),
+        "composed-full2": lambda: random_prefix_exchange(
+            rng, full_shift(2), 2).compose(
+                random_prefix_exchange(rng, full_shift(2), 2)),
+        "split-full3": lambda: random_split_conjugacy(rng, full_shift(3), 3),
+        "split-golden": lambda: random_split_conjugacy(rng, golden_mean(), 3),
+    }
+    counts = {"exchange-full4": 50, "exchange-full3": 10,
+              "composed-full2": 10, "split-full3": 10, "split-golden": 10}
+    return [std] + [make[kind]() for i in range(max(counts.values()))
+                    for kind, count in counts.items() if i < count]
+
+
+@pytest.mark.parametrize("pool, digest", [
+    (_certify_pool,
+     "40ce0228bfec4110b1bf3409240c55b034efd274ecf73959776bfff6586d55cb"),
+    (lambda: _general_maps(60, seed=6),
+     "c21bff05995719240b45cb8bce2f41ceb4fd0e85919cd33a6821a05d6802d032"),
+    (lambda: _general_maps(60, seed=8),
+     "a9f7033f469355b603be2f88f53327d8bff25de4a360350c0429e4d870f41f71"),
+    (lambda: _general_maps(120, seed=11),
+     "cbd5674cc77599b1574b677e254188c27b98cbdf63b0641e3a06854a3aecdece"),
+    (lambda: _mixed_compositions(60),
+     "752cbe8fe51fa960574d9036fc45602e20873916fc3861d60596b20741eda466"),
+], ids=["certify-7", "general-6", "general-8", "general-11", "mixed-11"])
+def test_derived_tables_are_pinned(pool, digest):
+    """The (k, l) tables of both directions of every map, depth and word
+    order included, are those the derivation gave when it computed every
+    image afresh and searched every word's governing prefix."""
+    h = hashlib.sha256()
+    for m in pool():
+        for g in (m, m.inverse()):
+            pair = derive_cocycle_pair(g)
+            h.update(repr((pair.depth, list(pair.k.table.items()),
+                           list(pair.l.table.items()))).encode())
+    assert h.hexdigest() == digest
+
+
+def test_each_image_is_computed_once_per_derivation(monkeypatch):
+    """A derivation computes the image over each cylinder it needs once:
+    over every cylinder w it tries, and over w[1:] where w's own image
+    resolves.  Nothing is kept from one derivation to the next, the two
+    directions of a map included."""
+    import sftkit.maps as maps_mod
+    import sftkit.orbit as orbit_mod
+    from sftkit.errors import NeedDepth
+    image_form = maps_mod.image_form
+    minimal = orbit_mod.minimal_cocycle_on_cylinder
+    computed, tried = [], []
+
+    def image_spy(stages, base):
+        computed.append(base)
+        return image_form(stages, base)
+
+    def minimal_spy(images, base):
+        tried.append(base)
+        return minimal(images, base)
+
+    monkeypatch.setattr(maps_mod, "image_form", image_spy)
+    monkeypatch.setattr(orbit_mod, "minimal_cocycle_on_cylinder", minimal_spy)
+    afresh = once = 0
+    for m in [*_certify_pool()[:21], *_mixed_compositions(20)]:
+        for g in (m, m.inverse()):
+            computed.clear()
+            tried.clear()
+            derive_cocycle_pair(g)
+            resolving = []
+            for w in tried:
+                try:
+                    image_form(g.forward.stages, w)
+                    resolving.append(w)
+                except NeedDepth:
+                    pass
+            want = set(tried) | {w[1:] for w in resolving}
+            assert len(computed) == len(set(computed)), g.forward
+            assert set(computed) == want, g.forward
+            afresh += len(tried) + len(resolving)
+            once += len(computed)
+    # computing each image at every call, these derivations made 22 716
+    assert (afresh, once) == (22716, 11965)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_the_code_fill_equals_the_prefix_search(seed):
+    """_on_code gives each word of P.words(d) the value of its prefix in
+    the code, in P.words order, on label orders that are not sorted."""
+    rng = random.Random(seed)
+    Q = random_presentation(rng, 4)
+    labels = list(Q.labels)
+    rng.shuffle(labels)
+    P = Presentation(labels, Q.edges)
+    code, work = {}, P.words(1)
+    while work:
+        w = work.pop(rng.randrange(len(work)))
+        if len(w) < 5 and rng.random() < 0.5:
+            work += P.extensions(w)
+        else:
+            code[w] = len(code)
+    depth = max(map(len, code))
+    want = [code[next(w[:i] for i in range(1, depth + 1) if w[:i] in code)]
+            for w in P.words(depth)]
+    assert _on_code(P, code) == want
