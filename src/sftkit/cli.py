@@ -174,8 +174,9 @@ def cmd_tower(args):
 def _vertex_label(P, index):
     """The label of the vertex with this index, as --vertex and --parts
     give it."""
-    text = str(index).strip()
-    if not (text.isdecimal() and int(text) < len(P.labels)):
+    text = index.strip()
+    # ASCII digits only, as sftkit.io reads vertex indices in files
+    if not (text.isascii() and text.isdigit() and int(text) < len(P.labels)):
         raise InvalidPartition(
             f"{index} is not a vertex index (0..{len(P.labels) - 1})")
     return P.labels[int(text)]
@@ -386,7 +387,7 @@ def build_parser():
     p = sub.add_parser("move", help="graph moves (out- and in-splits)")
     p.add_argument("sft")
     p.add_argument("--kind", required=True, choices=["out_split", "in_split"])
-    p.add_argument("--vertex", type=int, required=True)
+    p.add_argument("--vertex", required=True)
     p.add_argument("--parts", help="e.g. '0,1;2' (vertex indices)")
     p.add_argument("--out")
     common(p)

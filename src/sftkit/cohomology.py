@@ -3,7 +3,8 @@
 A class [f] is positive exactly when every periodic orbit sum of f is
 non-negative.  On the weighted transition graph of f this is negative-cycle
 feasibility, so a shortest-path potential kappa yields the witness pair
-(n, b) with  f = n + b - b o sigma,  n >= 0,  b = -kappa on blocks.
+(n, b) with  f = n + b - b o sigma,  n >= 0,  b = -kappa on blocks.  The
+same Bellman-Ford decides positivity on cycles, on rescaled weights.
 
 A graph is kept as index lists: arc k runs from nodes[src[k]] to
 nodes[dst[k]] with weight[k] and tags[k].  Bellman-Ford, the certificate,
@@ -60,7 +61,8 @@ class WeightedTransitionGraph:
     def _proven(cls, nodes, src, dst, weight, tags) -> "WeightedTransitionGraph":
         """A graph whose index lists are right by construction:
         transition_graph's arcs run from the node w[:m] to the node w[1:] of
-        an admissible (m+1)-word w, and both are admissible m-words."""
+        an admissible (m+1)-word w, and both are admissible m-words.
+        positive_on_cycles reuses such lists with rescaled weights."""
         W = object.__new__(cls)
         W.nodes, W.src, W.dst, W.weight, W.tags = nodes, src, dst, weight, tags
         return W
@@ -126,9 +128,7 @@ class PositivityCertificate:
 
         `lower` may be an int or a CylinderFunction."""
         n, b = self.nonneg, self.witness_b
-        if isinstance(lower, int):
-            lower = CylinderFunction.constant(b.presentation, lower)
-        gap = (lower - b).max_value()
+        gap = -(b - lower).min_value()
         if gap > 0:
             b = b + gap
         return n, b
@@ -263,35 +263,19 @@ def class_is_positive(P: Presentation, f: CylinderFunction):
 def positive_on_cycles(P: Presentation, f: CylinderFunction) -> bool:
     """Whether every periodic orbit of f sums to at least 1.
 
-    Periodic orbits are the closed walks of the transition graph.  With a
-    potential, the reduced arc weights are >= 0 and keep every cycle sum,
-    so a cycle sums to 0 exactly when all its arcs have reduced weight 0:
-    f is positive on cycles when there is no negative cycle and the
-    zero-reduced-weight arcs form an acyclic subgraph.  For f >= 0 the
-    potential is 0 and these are the zero-weight arcs of f.
+    Periodic orbits are the closed walks of f's transition graph W, and a
+    closed walk splits into simple cycles, so it is enough that every
+    simple cycle sums to at least 1.  With N = |nodes of W|, this holds
+    exactly when W with every weight w rescaled to N*w - 1 has no negative
+    cycle.  A simple cycle has L <= N arcs; with f-sum S, its rescaled sum
+    N*S - L is at least N - L >= 0 when S >= 1, and at most -L < 0 when
+    S <= 0.
     """
     W = transition_graph(P, f)
-    res = find_potential(W)
-    if isinstance(res, NegativeCycleWitness):
-        return False
-    n = len(W.nodes)
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for s, t, r in zip(W.src, W.dst, res.slacks(W)):
-        if r == 0:
-            succ[s].append(t)
-            indeg[t] += 1
-    # Kahn's algorithm: every node is removed iff the subgraph is acyclic
-    ready = [v for v in range(n) if indeg[v] == 0]
-    removed = 0
-    while ready:
-        v = ready.pop()
-        removed += 1
-        for u in succ[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.append(u)
-    return removed == n
+    N = len(W.nodes)
+    scaled = WeightedTransitionGraph._proven(
+        W.nodes, W.src, W.dst, [N * w - 1 for w in W.weight], W.tags)
+    return not isinstance(find_potential(scaled), NegativeCycleWitness)
 
 
 def decompose_positive(P: Presentation, f: CylinderFunction, lower=0):
@@ -368,12 +352,8 @@ def solve_coboundary(P: Presentation, f: CylinderFunction, max_depth: int):
         while stack:
             v = stack.pop()
             for u, delta in neighbors[v]:
-                val = g[v] + delta
-                if g[u] is not None:
-                    if g[u] != val:
-                        return None
-                else:
-                    g[u] = val
+                if g[u] is None:
+                    g[u] = g[v] + delta
                     stack.append(u)
     for s, t, val in zip(W.src, W.dst, W.weight):
         if g[s] - g[t] != val:

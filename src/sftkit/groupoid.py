@@ -126,8 +126,9 @@ class CylinderBisection:
         return make_element(img, c, x)
 
     def __str__(self):
-        return (f"{''.join(map(str, self.range_word))}~"
-                f"{''.join(map(str, self.source_word))}")
+        join = self.presentation.label_separator.join
+        return (f"{join(map(str, self.range_word))}~"
+                f"{join(map(str, self.source_word))}")
 
 
 def phi_from_oe_data(h, k: CylinderFunction, l: CylinderFunction,

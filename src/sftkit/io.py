@@ -22,6 +22,13 @@ more ends in a dot, so that "10." is (10,) and "10" is (1, 0).  The empty
 word is "-".  Points read  prefix/cycle ; two-sided points
 leftcycle|middle|rightcycle@phase .
 
+Every integer is read as the writers write it, in ASCII digits.  Vertex
+indices (in words, edge and vmap lines) and the depth take no sign;
+function values and the phase may start with "-", and so may the vertex
+count, which is then an error for having no vertex.  No other spelling
+is read: no "+", no "_", no inner or surrounding space, no other decimal
+digits.
+
 Files are read as UTF-8; a byte that does not decode is a ParseError at
 its line.
 """
@@ -32,7 +39,7 @@ import os
 
 from .cylinders import CylinderFunction
 from .cohomology import NegativeCycleWitness, PositivityCertificate
-from .errors import InvalidVertexMap, ParseError, SftError
+from .errors import InvalidVertexMap, ParseError, SftError, ZeroRowOrColumn
 from .maps import BlockStage, PrefixExchangeStage, prefix_exchange
 from .orbit import OrbitEquivalence
 from .points import BiPoint, EvPerPoint
@@ -49,6 +56,15 @@ def _lines(text, source):
             yield ln, line
 
 
+def _integer(text: str, source, ln, message, signed=False) -> int:
+    """The int that text spells in ASCII digits, after one leading "-" when
+    signed; any other spelling is a ParseError at line ln."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(source, ln, message)
+    return int(text)
+
+
 def parse_presentation(text: str, source="<sft>") -> Presentation:
     lines = list(_lines(text, source))
     if not lines or lines[0][1] != "sft v1":
@@ -60,25 +76,30 @@ def parse_presentation(text: str, source="<sft>") -> Presentation:
     if len(parts) != 2:
         raise ParseError(source, lines[1][0],
                          f"expected 'vertices N', got {lines[1][1]!r}")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(source, lines[1][0], "bad vertex count")
+    # signed: a negative count is reported as a presentation with no vertex
+    n = _integer(parts[1], source, lines[1][0], "bad vertex count",
+                 signed=True)
     edges = set()
     for ln, line in lines[2:]:
         parts = line.split()
         if parts[0] != "edge" or len(parts) != 3:
             raise ParseError(source, ln, f"expected 'edge u v', got {line!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(source, ln, "edge endpoints must be integers")
-        if not (0 <= u < n and 0 <= v < n):
+        u, v = (_integer(p, source, ln, "edge endpoints must be integers")
+                for p in parts[1:])
+        if u >= n or v >= n:
             raise ParseError(source, ln, "edge endpoint out of range")
         if (u, v) in edges:
             # vertex shifts have 0/1 adjacency: a second u -> v is no edge
             raise ParseError(source, ln, f"edge {u} {v} given twice")
         edges.add((u, v))
+    # Presentation builds an entry per vertex before it finds a zero row,
+    # so a count the edges cannot cover fails here: at most len(edges)
+    # vertices have an out-edge
+    sources = {u for u, _ in edges}
+    for i in range(min(n, len(edges) + 1)):
+        if i not in sources:
+            raise ParseError(source, lines[-1][0],
+                             str(ZeroRowOrColumn("row", i)))
     try:
         return Presentation(range(n), edges)
     except (SftError, ValueError) as e:
@@ -108,11 +129,7 @@ def parse_word(P: Presentation, text: str, source="<word>", ln=1) -> Word:
         parts = text.removesuffix(".").split(".")
     else:
         parts = list(text)
-    # only what format_word writes: int() would also take signs, "_",
-    # inner spaces and non-ASCII digits
-    if not all(p.isascii() and p.isdigit() for p in parts):
-        raise ParseError(source, ln, f"bad word {text!r}")
-    idx = [int(p) for p in parts]
+    idx = [_integer(p, source, ln, f"bad word {text!r}") for p in parts]
     if any(not (0 <= i < len(P.labels)) for i in idx):
         raise ParseError(source, ln, f"symbol out of range in {text!r}")
     return tuple(P.labels[i] for i in idx)
@@ -123,10 +140,8 @@ def parse_cylinder_function(text: str, P: Presentation,
     lines = list(_lines(text, source))
     if not lines or not lines[0][1].startswith("fn depth="):
         raise ParseError(source, 1, "expected header 'fn depth=d'")
-    try:
-        depth = int(lines[0][1].split("=", 1)[1])
-    except ValueError:
-        raise ParseError(source, lines[0][0], "bad depth")
+    depth = _integer(lines[0][1].split("=", 1)[1], source, lines[0][0],
+                     "bad depth")
     table = {}
     for ln, line in lines[1:]:
         parts = line.split()
@@ -135,10 +150,8 @@ def parse_cylinder_function(text: str, P: Presentation,
         w = parse_word(P, parts[0], source, ln)
         if w in table:
             raise ParseError(source, ln, f"word {parts[0]!r} given twice")
-        try:
-            table[w] = int(parts[1])
-        except ValueError:
-            raise ParseError(source, ln, f"bad integer {parts[1]!r}")
+        table[w] = _integer(parts[1], source, ln, f"bad integer {parts[1]!r}",
+                            signed=True)
     try:
         return CylinderFunction(P, depth, table)
     except (SftError, ValueError) as e:
@@ -183,10 +196,8 @@ def parse_bipoint(P: Presentation, text: str, source="<bipoint>") -> BiPoint:
         raise ParseError(source, 1,
                          "two-sided syntax is leftcycle|middle|rightcycle@phase")
     lc, mid, rc = (parse_word(P, p, source) for p in parts)
-    try:
-        ph = int(phase) if phase else 0
-    except ValueError:
-        raise ParseError(source, 1, f"bad phase {phase!r}")
+    ph = _integer(phase, source, 1, f"bad phase {phase!r}",
+                  signed=True) if phase else 0
     return BiPoint.make(P, lc, mid, rc, ph)
 
 
@@ -303,10 +314,11 @@ def _read_orbit_equivalence(path: str, opening) -> OrbitEquivalence:
     if vmap_rows:
         vertex_map = {}
         for ln, i, j in vmap_rows:
-            try:
-                v, image = domain.labels[int(i)], codomain.labels[int(j)]
-            except (ValueError, IndexError):
-                raise ParseError(path, ln, f"bad vmap entry {i} {j}")
+            bad = f"bad vmap entry {i} {j}"
+            a, b = (_integer(x, path, ln, bad) for x in (i, j))
+            if a >= len(domain.labels) or b >= len(codomain.labels):
+                raise ParseError(path, ln, bad)
+            v, image = domain.labels[a], codomain.labels[b]
             if v in vertex_map:
                 raise ParseError(path, ln, f"vmap {i} given twice")
             vertex_map[v] = image

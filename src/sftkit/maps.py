@@ -148,7 +148,8 @@ class PrefixExchangeStage:
         return m + self._lengths[-1]
 
     def __repr__(self):
-        pairs = ",".join(f"{''.join(map(str, u))}~{''.join(map(str, v))}"
+        join = self.domain.label_separator.join
+        pairs = ",".join(f"{join(map(str, u))}~{join(map(str, v))}"
                          for u, v in sorted(self.pairing.items()))
         return f"PrefixExchange({pairs})"
 

@@ -633,9 +633,41 @@ def test_solve_coboundary_checks_the_presentation_before_the_depth_cap(
         solve_coboundary(gm, f, 1)
 
 
+def test_positive_on_cycles_agrees_with_orbit_sums():
+    """Every periodic orbit sums to at least 1 exactly when every orbit of
+    least period at most N does, N the size of the block graph: a simple
+    cycle of the block graph has at most N arcs.  Draws with N > 10 are
+    skipped, because the oracle lists every orbit up to period N."""
+    rng = random.Random(33)
+    verdicts = []
+    while len(verdicts) < 1000:
+        P = random_presentation(rng, 4)
+        f = random_cylinder_function(rng, P, 3, -2, 3)
+        N = len(transition_graph(P, f).nodes)
+        if N > 10:
+            continue
+        want = all(orbit_sum(f, c) >= 1 for c in P.cycles(N))
+        assert positive_on_cycles(P, f) is want, (P, f)
+        verdicts.append((want, N))
+    assert {True, False} <= {want for want, _ in verdicts}
+    assert any(want and N > 4 for want, N in verdicts)
+
+
+def test_positive_on_cycles_counts_a_sum_of_one_around_every_block():
+    """The one cycle 0 -> 1 -> 2 -> 0 visits all N = 3 blocks and sums to
+    exactly 1.  Its rescaled sum 3*1 - 3 is 0, so it is positive; scaling
+    by N - 1 would make it 2*1 - 3 < 0."""
+    P = Presentation(range(3), [(0, 1), (1, 2), (2, 0)])
+    f = CylinderFunction.from_values(P, {"0": 1, "1": 0, "2": 0})
+    assert len(transition_graph(P, f).nodes) == 3
+    assert positive_on_cycles(P, f) is True
+    assert positive_on_cycles(P, CylinderFunction.constant(P, 0)) is False
+
+
 def test_arcs_are_built_only_for_a_witness(full2, monkeypatch):
-    """Certificates, cycle checks and coboundary solutions read the index
-    lists; only a negative-cycle witness builds Arcs, one per cycle arc."""
+    """Certificates, True cycle verdicts and coboundary solutions read the
+    index lists; only a negative-cycle witness builds Arcs, one per cycle
+    arc.  A False cycle verdict is such a witness, on rescaled weights."""
     built = []
 
     class CountedArc(Arc):
@@ -647,10 +679,16 @@ def test_arcs_are_built_only_for_a_witness(full2, monkeypatch):
     f = CylinderFunction.from_values(
         full2, {"00": 1, "01": -1, "10": 2, "11": 0})
     assert isinstance(class_is_positive(full2, f), PositivityCertificate)
-    assert positive_on_cycles(full2, f) is False
+    assert positive_on_cycles(full2, CylinderFunction.from_values(
+        full2, {"00": 2, "01": 0, "10": 3, "11": 1})) is True
     assert solve_coboundary(full2, f.coboundary(), 4) is not None
     assert decompose_positive(full2, f)[0].is_nonnegative()
     assert built == []
+    # f sums to 0 on the loop at 1: its arc, rescaled to 2*0 - 1, is the
+    # witness
+    assert positive_on_cycles(full2, f) is False
+    assert built == [((1,), (1,), -1, (1, 1))]
+    built.clear()
     w = class_is_positive(full2, CylinderFunction.from_values(
         full2, {"00": 2, "01": -2, "10": 1, "11": 3}))
     assert isinstance(w, NegativeCycleWitness) and w.verify()

@@ -8,6 +8,7 @@ from sftkit import (
     Tower,
     TowerSpec,
     compose,
+    full_shift,
     invert,
     make_element,
     make_tower_element,
@@ -267,3 +268,14 @@ def test_tower_iso_degree_is_the_floor_sum():
     assert witnesses == {(True, False), (False, True), (True, True),
                          (False, False)}
 
+
+def test_bisections_print_apart_on_twelve_vertices():
+    """Words of labels of two digits join with a dot, as points print them,
+    so (1, 11) and (11, 1) give different strings."""
+    P = full_shift(12)
+    a = CylinderBisection.make(P, (1, 11), (11,))
+    b = CylinderBisection.make(P, (11, 1), (11,))
+    assert (str(a), str(b)) == ("1.11~11", "11.1~11")
+    gm = CylinderBisection.make(
+        Presentation([0, 1], [(0, 0), (0, 1), (1, 0)]), (1, 0), (0,))
+    assert str(gm) == "10~0"

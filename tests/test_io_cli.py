@@ -346,8 +346,11 @@ def test_cli_move_and_groupoid_check(tree, capsys):
     (["--vertex", "7", "--parts", "0;1"], "7 is not a vertex index"),
     (["--vertex", "0", "--parts", "0;9"], "9 is not a vertex index"),
     (["--vertex", "-1", "--parts", "0;1"], "-1 is not a vertex index"),
+    (["--vertex", "+0", "--parts", "0;1"], "+0 is not a vertex index"),
+    (["--vertex", "0", "--parts", "\u0660;\u0661"],
+     "\u0660 is not a vertex index"),
 ], ids=["no-parts", "vertex-out-of-range", "part-out-of-range",
-        "negative-vertex"])
+        "negative-vertex", "signed-vertex", "arabic-indic-parts"])
 def test_cli_move_rejects_bad_input(tree, capsys, flags, message):
     """Bad move input is an input error (exit 2), not a traceback."""
     rc = main(["move", str(tree / "full2.sft"), "--kind", "out_split"]
@@ -520,6 +523,51 @@ GMID = ("oe v1\ndomain golden.sft\ncodomain golden.sft\n"
 LOOP = "sft v1\nvertices 1\nedge 0 0\n"
 
 
+# spellings that int() takes and no writer writes, by name
+BAD_INTEGERS = {"plus": "+1", "underscore": "1_0",
+                "arabic-indic-one": "\u0661", "arabic-indic-three": "\u0663",
+                "fullwidth-one": "\uff11"}
+VMAP = PE.replace("map 0", "vmap {} {}\nvmap 1 0\nmap 0", 1)
+
+
+def _bad_integer_cases():
+    """(id, files, line, message) for each integer field of the file
+    formats and each spelling it must refuse."""
+    for name, bad in BAD_INTEGERS.items():
+        yield (f"vertex-count-{name}", {"a.sft": f"sft v1\nvertices {bad}\n"},
+               2, "bad vertex count")
+        for side, edge in (("source", f"{bad} 0"), ("target", f"0 {bad}")):
+            yield (f"edge-{side}-{name}",
+                   {"a.sft": f"sft v1\nvertices 2\nedge {edge}\n"}, 3,
+                   "edge endpoints must be integers")
+        yield (f"depth-{name}", {"a.fn": f"fn depth={bad}\n0 1\n1 2\n"}, 1,
+               "bad depth")
+        yield (f"fn-value-{name}", {"a.fn": f"fn depth=1\n0 {bad}\n1 2\n"},
+               2, f"bad integer {bad!r}")
+        yield (f"fn-word-{name}", {"a.fn": f"fn depth=1\n0 1\n{bad} 2\n"},
+               3, f"bad word {bad!r}")
+        yield (f"vmap-source-{name}", {"a.oe": VMAP.format(bad, 1)}, 4,
+               f"bad vmap entry {bad} 1")
+        yield (f"vmap-target-{name}", {"a.oe": VMAP.format(0, bad)}, 4,
+               f"bad vmap entry 0 {bad}")
+    # fields that take no sign
+    for side, edge in (("source", "-1 0"), ("target", "0 -0")):
+        yield (f"edge-{side}-minus",
+               {"a.sft": f"sft v1\nvertices 2\nedge {edge}\n"}, 3,
+               "edge endpoints must be integers")
+    yield ("depth-minus", {"a.fn": "fn depth=-1\n0 1\n1 2\n"}, 1, "bad depth")
+    # int() read -2 as the last of full2's two vertices
+    yield ("vmap-source-minus", {"a.oe": VMAP.format(-2, 1)}, 4,
+           "bad vmap entry -2 1")
+    yield ("vmap-target-minus", {"a.oe": VMAP.format(0, -1)}, 4,
+           "bad vmap entry 0 -1")
+    yield ("vmap-out-of-range", {"a.oe": VMAP.format(2, 1)}, 4,
+           "bad vmap entry 2 1")
+
+
+BAD_INTEGER_CASES = list(_bad_integer_cases())
+
+
 @pytest.mark.parametrize("files, line, message", [
     ({"a.sft": "sft v1\nedges 2\n"}, 2, "expected 'vertices N'"),
     ({"a.sft": "sft v1\n"}, 1, "expected 'vertices N'"),
@@ -561,21 +609,25 @@ LOOP = "sft v1\nvertices 1\nedge 0 0\n"
      "invalid orbit equivalence: the empty word must be the only code word"),
     ({"a.oe": PE.replace("full2", "golden")}, 4,
      "invalid orbit equivalence: code word (1, 1) not admissible"),
-], ids=["no-vertices-line", "header-only", "bad-vertex-count",
+] + [case[1:] for case in BAD_INTEGER_CASES],
+   ids=["no-vertices-line", "header-only", "bad-vertex-count",
         "short-edge-line", "non-integer-endpoint", "bad-word",
         "symbol-out-of-range", "bad-fn-header", "bad-depth",
         "long-fn-line", "bad-integer", "incomplete-table", "bad-oe-header",
         "compose-one-file", "compose-endpoints-differ", "map-without-arrow",
         "short-vmap-line", "unknown-directive", "no-codomain",
         "bad-vmap-entry", "pairing-not-bijective", "empty-word-paired",
-        "empty-code", "empty-word-not-alone", "inadmissible-code-word"])
+        "empty-code", "empty-word-not-alone", "inadmissible-code-word"]
+   + [case[0] for case in BAD_INTEGER_CASES])
 def test_each_input_file_check_names_its_line(tree, capsys, monkeypatch,
                                               files, line, message):
     """Every check a file reader makes raises ParseError at the line it
-    names, and the CLI prints that path:line and exits 2."""
+    names, and the CLI prints that path:line and exits 2.  An integer
+    field reads ASCII digits, with a "-" only where the value may be
+    negative: any other spelling that int() takes is refused."""
     monkeypatch.chdir(tree)
     for name, text in files.items():
-        (tree / name).write_text(text)
+        (tree / name).write_text(text, encoding="utf-8")
     name = next(iter(files))
     kind = name.rsplit(".", 1)[1]
     with pytest.raises(ParseError) as exc:
@@ -593,8 +645,12 @@ def test_each_input_file_check_names_its_line(tree, capsys, monkeypatch,
     (sio.parse_bipoint, "0|1", "<bipoint>:1: two-sided syntax is "
                                "leftcycle|middle|rightcycle@phase"),
     (sio.parse_bipoint, "0||1@x", "<bipoint>:1: bad phase 'x'"),
-], ids=["point-without-slash", "bipoint-without-three-parts",
-        "bipoint-bad-phase"])
+] + [(sio.parse_bipoint, f"0||1@{bad}", f"<bipoint>:1: bad phase {bad!r}")
+     for bad in [*BAD_INTEGERS.values(), "--1", "-"]],
+   ids=["point-without-slash", "bipoint-without-three-parts",
+        "bipoint-bad-phase"]
+   + [f"bipoint-phase-{name}"
+      for name in [*BAD_INTEGERS, "two-minus", "minus-alone"]])
 def test_point_syntax_errors(full2, parse, text, message):
     with pytest.raises(ParseError) as exc:
         parse(full2, text)
@@ -835,3 +891,50 @@ def test_input_files_that_are_not_utf8_are_parse_errors(
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert f"{name}:{line}: not UTF-8: byte 0x" in captured.err
+
+
+
+def test_signed_integer_fields_read_a_minus(full2):
+    b = sio.parse_bipoint(full2, "0||1@-3")
+    assert b == BiPoint.make(full2, (0,), (), (1,), -3)
+    f = sio.parse_cylinder_function("fn depth=1\n0 -12\n1 0\n", full2)
+    assert f == CylinderFunction.from_values(full2, {"0": -12, "1": 0})
+
+
+def test_files_the_writers_write_read_back_on_twelve_vertices(tmp_path):
+    """Presentations, functions with negative values and relabelled
+    exchanges on the full 12-shift read back as the same text."""
+    P = full_shift(12)
+    text = sio.format_presentation(P)
+    assert "edge 11 10\n" in text
+    assert sio.parse_presentation(text) == P
+    f = CylinderFunction.on_words(
+        P, 1, [(-1) ** i * 10 * i for i in range(12)])
+    fn = sio.format_cylinder_function(P, f)
+    assert "11. -110\n" in fn
+    assert sio.parse_cylinder_function(fn, P) == f
+    (tmp_path / "f12.sft").write_text(text)
+    oe = ("oe v1\ndomain f12.sft\ncodomain f12.sft\n"
+          + "".join(f"vmap {i} {11 - i}\n" for i in range(12))
+          + "".join(f"map {w} -> {w}\n" for w in (
+              *map(str, range(10)), "10.", "11.")))
+    (tmp_path / "x.oe").write_text(oe)
+    h = sio.read_orbit_equivalence(str(tmp_path / "x.oe"))
+    assert sio.format_orbit_equivalence(h, "f12.sft", "f12.sft") == oe
+
+
+def test_a_vertex_count_the_edges_cannot_cover_builds_no_shift(monkeypatch):
+    """At most len(edges) vertices have an out-edge, so a larger count is
+    refused before Presentation builds an entry per vertex."""
+    def refuse(*args):
+        raise AssertionError("Presentation constructed")
+    monkeypatch.setattr(sio, "Presentation", refuse)
+    for text, row in [("sft v1\nvertices 1000000000\n", 0),
+                      ("sft v1\nvertices 10000000000\nedge 0 1\n"
+                       "edge 1 0\n", 2),
+                      ("sft v1\nvertices 3\nedge 0 0\nedge 2 2\n", 1)]:
+        with pytest.raises(ParseError) as exc:
+            sio.parse_presentation(text, "v.sft")
+        last = text.count("\n")
+        assert str(exc.value) == (f"v.sft:{last}: row {row} of the adjacency "
+                                  "matrix is zero")

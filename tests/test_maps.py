@@ -546,3 +546,17 @@ def test_map_image_needs_the_whole_base_its_proof_counts(monkeypatch):
         except NeedDepth:
             outcomes.add("NeedDepth")
     assert outcomes == {True, "NeedDepth"}
+
+
+def test_exchange_repr_prints_twelve_vertex_words_apart():
+    """The pair of (1, 0) and (10,) prints as 1.0~10, not 10~10."""
+    P = full_shift(12)
+    pairing = {(i,): (i,) for i in range(12) if i not in (1, 10)}
+    pairing.update({(1, j): (1, j) for j in range(1, 12)})
+    pairing.update({(1, 0): (10,), (10,): (1, 0)})
+    text = repr(PrefixExchangeStage(P, pairing))
+    assert "1.0~10," in text and "10~1.0," in text
+    assert "10~10" not in text
+    assert repr(PrefixExchangeStage(full_shift(2), {(0,): (1, 0), (1, 0): (0,),
+                                                    (1, 1): (1, 1)})) \
+        == "PrefixExchange(0~10,10~0,11~11)"
